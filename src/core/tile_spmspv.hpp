@@ -11,9 +11,9 @@
 // merged into the same output (paper §3.2.1 / §3.4 hybrid).
 //
 // Execution-layer notes (this file implements all three scalar forms):
-//   - the CSC form scatters into per-slot privatized buckets instead of
-//     taking a CAS per value; buckets are merged during the gather, so the
-//     hot loop carries no value atomics at all;
+//   - the CSC form scatters into per-range privatized buckets instead of
+//     taking a CAS per value; buckets are merged in index order during the
+//     gather, so the hot loop carries no value atomics at all;
 //   - phase 3 (gather) runs as a parallel range-concatenation: disjoint
 //     tile ranges assemble privately sized from the flagged-tile count and
 //     are spliced with a prefix sum, preserving the exact serial output;
@@ -180,13 +180,14 @@ struct SpmspvWorkspace {
   // Hoisted scratch for the active-tile lists built each multiply.
   std::vector<index_t> active;
 
-  // Privatized CSC scatter buckets: slot s owns priv_vals[s*stride ..] and
-  // priv_touched[s*out_tiles ..]; priv_list[s] records which output tiles
-  // slot s touched (for capacity-preserving clears only — the merge pass
-  // discovers tiles from priv_touched).
+  // Privatized CSC scatter buckets, one per static range: range r owns
+  // priv_vals[r*stride ..] and priv_touched[r*out_tiles ..]; priv_list[r]
+  // records which output tiles range r touched. bucket_bounds holds the
+  // current phase's range cuts.
   std::vector<T> priv_vals;
   std::vector<unsigned char> priv_touched;
   std::vector<std::vector<index_t>> priv_list;
+  std::vector<index_t> bucket_bounds;
 
   GatherScratch<T> gather;
 
@@ -220,7 +221,7 @@ struct SpmspvWorkspace {
     if (priv_list.size() < static_cast<std::size_t>(buckets)) {
       priv_list.resize(buckets);
     }
-    // The merge dedups the per-slot lists through tile_flag, so it must
+    // The merge dedups the per-range lists through tile_flag, so it must
     // span the *output* tile grid too.
     if (static_cast<index_t>(tile_flag.size()) < out_tiles) {
       tile_flag.assign(out_tiles, 0);
@@ -240,6 +241,30 @@ inline index_t gather_ranges(index_t tiles, ThreadPool& p) {
   if (hw <= 1 || p.size() <= 1 || tiles < 4096) return 1;
   return std::min<index_t>(tiles,
                            static_cast<index_t>(4 * p.size()));
+}
+
+/// Cuts items [0, m) into `parts` contiguous ranges of near-equal total
+/// `weight(i)` (which must be >= 1 so every item counts); `bounds` gets
+/// parts + 1 entries. The cut depends only on the weights and `parts`,
+/// never on scheduling, so a range index names a fixed set of items.
+template <typename Weight>
+void weighted_ranges(index_t m, index_t parts, Weight weight,
+                     std::vector<index_t>& bounds) {
+  std::uint64_t total = 0;
+  for (index_t i = 0; i < m; ++i) total += weight(i);
+  const auto p64 = static_cast<std::uint64_t>(parts);
+  bounds.assign(static_cast<std::size_t>(parts) + 1, m);
+  bounds[0] = 0;
+  std::uint64_t acc = 0;
+  index_t r = 1;
+  for (index_t i = 0; i < m && r < parts; ++i) {
+    // Cut before item i once the items before it carry r/parts of the
+    // total weight.
+    while (r < parts && acc * p64 >= total * static_cast<std::uint64_t>(r)) {
+      bounds[r++] = i;
+    }
+    acc += weight(i);
+  }
 }
 
 /// Splices per-range gather buffers into one SparseVec via prefix sums.
@@ -515,10 +540,12 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 /// a local row is an input (column) index of A and a local column an
 /// output (row) index, so the same TileMatrix structure serves both
 /// orientations. Several tile columns can scatter into the same output
-/// tile; instead of the paper's atomic merge, each pool slot scatters into
-/// its own privatized bucket (owner-computes two-pass scheme) and the
-/// buckets are summed during the gather, so the hot loop performs no value
-/// atomics at all.
+/// tile; instead of the paper's atomic merge, the active tile columns are
+/// cut into one static range per pool slot (weighted by their work), range
+/// r scatters into its own privatized bucket r in phases 1 and 2, and the
+/// gather sums buckets in index order. The hot loop performs no value
+/// atomics, and the summation order depends only on the pool size, never
+/// on which thread ran which range, so results are bitwise reproducible.
 template <typename T>
 SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
                              SpmspvWorkspace<T>& ws,
@@ -531,6 +558,29 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
   const std::size_t stride =
       static_cast<std::size_t>(out_tiles) * static_cast<std::size_t>(nt);
   ws.ensure_csc(out_tiles, nt, buckets);
+
+  // Cuts items [0, m) into static ranges weighted by weight(i) and runs
+  // scatter(i, vals, touched, list) for each item of range r on bucket
+  // r's values, touched-tile flags and touched-tile list.
+  const auto scatter_ranges = [&](index_t m, const auto& weight,
+                                  const auto& scatter) {
+    const index_t parts = std::min<index_t>(m, buckets);
+    if (parts == 0) return;
+    detail::weighted_ranges(m, parts, weight, ws.bucket_bounds);
+    parallel_for(
+        parts,
+        [&](index_t r) {
+          T* pv = ws.priv_vals.data() + static_cast<std::size_t>(r) * stride;
+          unsigned char* pt =
+              ws.priv_touched.data() + static_cast<std::size_t>(r) * out_tiles;
+          std::vector<index_t>& plist = ws.priv_list[r];
+          for (index_t i = ws.bucket_bounds[r]; i < ws.bucket_bounds[r + 1];
+               ++i) {
+            scatter(i, pv, pt, plist);
+          }
+        },
+        &p, /*chunk=*/1);
+  };
 
   // Active tile columns of A = non-empty tiles of x = tile rows of Aᵀ with
   // a matching vector tile.
@@ -545,17 +595,17 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
 
   {
     obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "csc");
-    parallel_for(
+    scatter_ranges(
         static_cast<index_t>(active.size()),
         [&](index_t ai) {
-          const int slot = ThreadPool::scratch_slot();
-          assert(slot < buckets);
-          T* pv = ws.priv_vals.data() + static_cast<std::size_t>(slot) * stride;
-          unsigned char* pt =
-              ws.priv_touched.data() +
-              static_cast<std::size_t>(slot) * out_tiles;
-          std::vector<index_t>& plist = ws.priv_list[slot];
-
+          // Stored nonzeros plus tiles: every tile scans nt input slots.
+          const index_t s = active[ai];
+          const offset_t t0 = at.tile_row_ptr[s], t1 = at.tile_row_ptr[s + 1];
+          const offset_t nnz = at.tile_nnz_ptr[t1] - at.tile_nnz_ptr[t0];
+          return static_cast<std::uint64_t>(nnz + (t1 - t0));
+        },
+        [&](index_t ai, T* pv, unsigned char* pt,
+            std::vector<index_t>& plist) {
           const index_t s = active[ai];
           const T* xt =
               &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
@@ -589,8 +639,7 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
           obs::counter_add(obs::Counter::kTilesScanned, scanned);
           obs::counter_add(obs::Counter::kTilesComputed, scanned);
           obs::counter_add(obs::Counter::kPayloadMacs, macs);
-        },
-        &p, /*chunk=*/2);
+        });
   }
 
   // Extracted side part of Aᵀ: entry (j, i) of Aᵀ is A[i][j], so walking
@@ -606,17 +655,17 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
       if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
     }
     const std::vector<index_t>& x_active = ws.active;
-    parallel_for(
+    scatter_ranges(
         static_cast<index_t>(x_active.size()),
         [&](index_t ai) {
-          const int slot = ThreadPool::scratch_slot();
-          assert(slot < buckets);
-          T* pv = ws.priv_vals.data() + static_cast<std::size_t>(slot) * stride;
-          unsigned char* pt =
-              ws.priv_touched.data() +
-              static_cast<std::size_t>(slot) * out_tiles;
-          std::vector<index_t>& plist = ws.priv_list[slot];
-
+          // Side entries of the tile's input rows, plus one for the tile.
+          const index_t j0 = std::min<index_t>(x_active[ai] * nt, at.rows);
+          const index_t j1 = std::min<index_t>(j0 + nt, at.rows);
+          const offset_t side = at.side_row_ptr[j1] - at.side_row_ptr[j0];
+          return static_cast<std::uint64_t>(side) + 1;
+        },
+        [&](index_t ai, T* pv, unsigned char* pt,
+            std::vector<index_t>& plist) {
           const index_t s = x_active[ai];
           const T* xt = &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
           std::uint64_t side = 0;
@@ -639,14 +688,14 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
             }
           }
           obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        &p, /*chunk=*/16);
+        });
   }
 
-  // Phase 3: merge the privatized buckets and gather, driven by the union
-  // of the per-slot touched lists — cost proportional to the tiles the
-  // multiply actually produced, never to the output tile grid (the old
-  // atomic kernel's gather scanned every output tile's flag). Sorting the
+  // Phase 3: merge the privatized buckets in index order and gather,
+  // driven by the union of the per-range touched lists — cost
+  // proportional to the tiles the multiply actually produced, never to the
+  // output tile grid (the old atomic kernel's gather scanned every output
+  // tile's flag). Sorting the
   // union keeps the emitted indices ordered; each candidate tile is owned
   // by exactly one range, so bucket blocks are read, summed and re-zeroed
   // without synchronization.

@@ -41,6 +41,8 @@ const char* counter_name(Counter c) {
       return "pool_loops";
     case Counter::kPoolChunks:
       return "pool_chunks";
+    case Counter::kPoolParks:
+      return "pool_parks";
     case Counter::kHashBytes:
       return "hash_bytes";
     case Counter::kCount:

@@ -44,6 +44,31 @@ struct CallerSlotBinding {
   CallerSlotBinding(const CallerSlotBinding&) = delete;
   CallerSlotBinding& operator=(const CallerSlotBinding&) = delete;
 };
+
+// Spin-loop hint: `pause` on x86 (frees pipeline resources for the
+// sibling hyperthread and avoids the memory-order flush on loop exit), a
+// no-op elsewhere.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Busy-waits until `ready()`: pause-spins for kSpinWindow, then yields
+// the core between polls so that on an oversubscribed host the thread
+// being waited for gets to run.
+template <typename Ready>
+void spin_until(Ready ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() < deadline) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -122,6 +147,7 @@ void ThreadPool::drain(Task& task) {
     return;
   }
   std::uint64_t chunks = 0;
+  index_t ran = 0;
   for (;;) {
     const index_t begin = task.next.fetch_add(task.chunk,
                                               std::memory_order_relaxed);
@@ -129,8 +155,10 @@ void ThreadPool::drain(Task& task) {
     const index_t end = std::min<index_t>(begin + task.chunk, task.n);
     ++chunks;
     task.invoke(task.ctx, begin, end);
+    ran += end - begin;
   }
   obs::counter_add(obs::Counter::kPoolChunks, chunks);
+  if (ran > 0) task.done.fetch_add(ran, std::memory_order_release);
 }
 
 void ThreadPool::drain_sharded(Task& task) {
@@ -138,6 +166,7 @@ void ThreadPool::drain_sharded(Task& task) {
   const int home =
       task.slot_shard == nullptr ? slot % task.nshards : task.slot_shard[slot];
   std::uint64_t chunks = 0;
+  index_t ran = 0;
   for (int k = 0; k < task.nshards; ++k) {
     // Home shard first; steal from the others round-robin once it's dry.
     const int s = (home + k) % task.nshards;
@@ -154,6 +183,7 @@ void ThreadPool::drain_sharded(Task& task) {
       ++chunks;
       worked = true;
       task.invoke(task.ctx, begin, end);
+      ran += end - begin;
     }
     t_shard = saved;
     if (worked) {
@@ -163,29 +193,52 @@ void ThreadPool::drain_sharded(Task& task) {
     }
   }
   obs::counter_add(obs::Counter::kPoolChunks, chunks);
+  if (ran > 0) task.done.fetch_add(ran, std::memory_order_release);
+}
+
+std::uint64_t ThreadPool::await_epoch(std::uint64_t seen) {
+  const auto ready = [&] {
+    return stop_.load(std::memory_order_relaxed) ||
+           epoch_.load(std::memory_order_seq_cst) > seen;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      // Park. parked_ is raised before the predicate is re-checked under
+      // the mutex, and run_task raises epoch_ before it reads parked_ (all
+      // seq_cst), so either the caller sees this worker parked and
+      // notifies under the mutex, or this check sees the new epoch.
+      std::unique_lock<std::mutex> lock(mutex_);
+      parked_.fetch_add(1, std::memory_order_seq_cst);
+      if (!ready()) {
+        obs::counter_add(obs::Counter::kPoolParks, 1);
+        cv_.wait(lock, ready);
+      }
+      parked_.fetch_sub(1, std::memory_order_relaxed);
+      break;
+    }
+    cpu_relax();
+  }
+  return epoch_.load(std::memory_order_seq_cst);
 }
 
 void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
+  std::uint64_t seen = 0;
   for (;;) {
-    Task* task = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] {
-        return stop_ || (current_ != nullptr && epoch_ != seen_epoch);
-      });
-      if (stop_) return;
-      task = current_;
-      seen_epoch = epoch_;
-    }
-    {
+    const std::uint64_t epoch = await_epoch(seen);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    inside_.fetch_add(1, std::memory_order_seq_cst);
+    Task* task = current_.load(std::memory_order_seq_cst);
+    if (task == nullptr) {
+      seen = epoch;  // woke after that dispatch had already returned
+    } else {
+      // current_ may already hold a newer dispatch than `epoch`; it is
+      // the one drained, so remember its epoch to not re-enter it.
+      seen = task->epoch;
       obs::TraceSpan span("pool/task", "pool");
       drain(*task);
     }
-    if (task->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_all();
-    }
+    inside_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -206,25 +259,27 @@ void ThreadPool::run_task(Task& task) {
     return;
   }
   obs::TraceSpan span("pool/parallel_ranges", "pool");
-  task.remaining.store(static_cast<int>(workers_.size()),
-                       std::memory_order_relaxed);
-  {
+  // Only the dispatching thread writes epoch_. current_ is published
+  // before epoch_, so a worker that sees the new epoch also sees the task.
+  task.epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  current_.store(&task, std::memory_order_seq_cst);
+  epoch_.store(task.epoch, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
-    current_ = &task;
-    ++epoch_;
+    cv_.notify_all();
   }
-  cv_.notify_all();
   {
     CallerSlotBinding bind;
     drain(task);  // caller thread participates as slot 0
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] {
-      return task.remaining.load(std::memory_order_acquire) == 0;
-    });
-    current_ = nullptr;
-  }
+  obs::TraceSpan join("pool/join", "pool");
+  const index_t n = task.n;
+  spin_until([&] { return task.done.load(std::memory_order_acquire) == n; });
+  // Retire the task, then wait out workers that entered it (they may
+  // still be flushing counters or closing their span); a worker entering
+  // after this store reads nullptr and never touches the task.
+  current_.store(nullptr, std::memory_order_seq_cst);
+  spin_until([&] { return inside_.load(std::memory_order_seq_cst) == 0; });
 }
 
 ThreadPool& ThreadPool::shared() {

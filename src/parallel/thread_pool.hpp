@@ -6,8 +6,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -20,14 +22,36 @@ namespace tilespmspv {
 /// Fixed-size pool executing blocked parallel-for loops.
 ///
 /// Work distribution is dynamic: the loop range is cut into chunks and
-/// workers claim chunks from a shared atomic counter, which mirrors how a
+/// workers claim chunks from a shared atomic cursor, which mirrors how a
 /// GPU scheduler assigns tile rows to warps and gives load balance on
 /// skewed sparsity patterns (long tile rows).
 ///
 /// `parallel_ranges` is a template over the callable: the body is invoked
 /// through a captured function pointer + context, so dispatching a loop
-/// allocates nothing (the old std::function path heap-allocated a closure
-/// per call, measurable on the fine-grained SpMSpV phase loops).
+/// allocates nothing.
+///
+/// Dispatch and join. A dispatch publishes its stack-allocated Task
+/// through `current_` and bumps `epoch_`; the caller then drains chunks
+/// itself. Completion counts *chunks*, not workers: every drain adds the
+/// size of the chunks it ran to `Task::done` (release, after the bodies
+/// return), and the caller waits until `done == n`, clears `current_`,
+/// and waits until `inside_` (workers currently holding the Task) is 0.
+/// A worker increments `inside_` before it reads `current_` and
+/// decrements it after its last access, all sequentially consistent, so
+/// either the caller sees the worker inside or the worker sees the
+/// cleared pointer: no worker touches the Task after the dispatch
+/// returns, and a worker that has not woken yet is never waited for.
+///
+/// Guarantee: every chunk's writes happen-before `parallel_ranges`
+/// returns (the caller's acquire load of `done` pairs with each drain's
+/// release add), as do each worker's counter flushes and `pool/task`
+/// span. That is what makes privatized per-range buckets written in one
+/// phase visible to the next phase's merge.
+///
+/// Idle workers spin on `epoch_` for kSpinWindow after each task, then
+/// park on a condition variable. The caller notifies only when a worker
+/// is parked, so back-to-back dispatches (one per BFS level) pay no
+/// futex syscall.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -38,6 +62,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size() + 1; }  // + caller thread
+
+  /// How long an idle worker keeps polling for the next dispatch before it
+  /// parks. Long enough to bridge the serial gap between back-to-back
+  /// loops (BFS levels, SpMSpV phases), short enough that an idle pool
+  /// stops burning CPU almost at once.
+  static constexpr std::chrono::microseconds kSpinWindow{50};
 
   /// Upper bound on data shards per pool (per-shard claim cursors are a
   /// fixed array in the task frame). Matches obs::kShardStatsMax.
@@ -135,12 +165,13 @@ class ThreadPool {
     void* ctx = nullptr;
     index_t n = 0;
     index_t chunk = 1;
-    // Work-stealing cursor and completion count: the pool IS the
+    std::uint64_t epoch = 0;  // the epoch_ value this dispatch published
+    // Work-stealing cursor and completed-index count: the pool IS the
     // synchronization layer the atomic_* helpers sit on top of, and these
-    // need fetch_add/acq_rel orderings the helpers deliberately don't
-    // expose. lint:allow(raw-atomic)
+    // need fetch_add/acquire/release orderings the helpers deliberately
+    // don't expose. lint:allow(raw-atomic)
     std::atomic<index_t> next{0};
-    std::atomic<int> remaining{0};  // lint:allow(raw-atomic)
+    std::atomic<index_t> done{0};  // lint:allow(raw-atomic)
     // Sharded dispatch state: per-shard claim cursors over the ranges in
     // shard_bounds, plus the dispatching pool's slot->home-shard map.
     int nshards = 1;
@@ -151,18 +182,26 @@ class ThreadPool {
 
   void run_task(Task& task);
   void worker_loop();
+  std::uint64_t await_epoch(std::uint64_t seen);
   static void drain(Task& task);
   static void drain_sharded(Task& task);
 
   int nshards_ = 1;
   std::vector<int> slot_shard_;  // home shard per pool slot (size() entries)
-  std::vector<std::thread> workers_;
+  // Dispatch handshake (see the class comment); every access is
+  // sequentially consistent where the protocol pairs a store with a load
+  // on another variable, which the atomic_* helpers cannot express.
+  std::atomic<Task*> current_{nullptr};  // lint:allow(raw-atomic)
+  std::atomic<std::uint64_t> epoch_{0};  // lint:allow(raw-atomic)
+  std::atomic<int> inside_{0};           // lint:allow(raw-atomic)
+  std::atomic<int> parked_{0};           // lint:allow(raw-atomic)
+  std::atomic<bool> stop_{false};        // lint:allow(raw-atomic)
+  // Parks and wakes idle workers through cv_; the handshake above needs
+  // no lock, so the mutex guards no data of its own.
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  Task* current_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  bool stop_ = false;
+  // Declared last: the worker threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tilespmspv

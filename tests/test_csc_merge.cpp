@@ -42,6 +42,32 @@ TEST(CscMerge, ManyColumnsFewOutputTilesAllPoolSizes) {
   }
 }
 
+// Bitwise reproducibility: buckets are keyed by a static range index, so
+// the summation order depends only on the pool size. Repeating one
+// multiply on one pool must give identical bits however the ranges were
+// scheduled onto threads. The tall-thin shape makes many partial sums
+// meet in each output tile, and the side COO part is exercised too.
+TEST(CscMerge, RepeatedMultiplyIsBitwiseIdenticalOnOnePool) {
+  const Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(64, 2048, 0.02, 42));
+  const TileMatrix<value_t> at =
+      TileMatrix<value_t>::from_csr(a.transpose(), 16, 4);
+  ASSERT_GT(at.extracted.nnz(), 0);
+  ASSERT_GT(at.tiled_nnz(), 0);
+  const SparseVec<value_t> x = gen_sparse_vector(2048, 0.8, 7);
+  const TileVector<value_t> xt = TileVector<value_t>::from_sparse(x, 16);
+  for (const int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    SpmspvWorkspace<value_t> ws;
+    const SparseVec<value_t> first = tile_spmspv_csc(at, xt, ws, &pool);
+    for (int rep = 0; rep < 50; ++rep) {
+      const SparseVec<value_t> y = tile_spmspv_csc(at, xt, ws, &pool);
+      ASSERT_EQ(y.idx, first.idx) << "threads=" << threads << " rep=" << rep;
+      ASSERT_EQ(y.vals, first.vals) << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
 // The workspace invariant the kernel relies on: every privatized buffer is
 // all-zero between calls, so a stale value from a racy or skipped clear
 // would poison the next multiply. Alternating two different vectors on one
