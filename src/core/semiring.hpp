@@ -1,10 +1,12 @@
 // GraphBLAS-style semirings. The paper positions SpMSpV as a GraphBLAS /
 // CombBLAS primitive, where the multiply is defined over an arbitrary
 // semiring (add, mul, identity); TileBFS itself is the (OR, AND) instance
-// specialized to bitmasks. This header defines the semiring concept used
-// by the generic tiled kernel (core/tile_spmspv_semiring.hpp) so that
-// algorithms like SSSP (min-plus) and reachability (or-and) run on the
-// same tiled storage.
+// specialized to bitmasks. This header defines the semiring concept the
+// CSC-form kernel is parameterized by (tile_spmspv_csc in
+// core/tile_spmspv.hpp, PlusTimes by default; SemiringOperator in
+// core/spmspv.hpp), so that algorithms like SSSP (min-plus) and
+// reachability (or-and) run on the same tiled storage and the same
+// deterministic kernel as the numeric multiply.
 #pragma once
 
 #include <algorithm>

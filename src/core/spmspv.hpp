@@ -1,7 +1,8 @@
 // Public entry point for repeated SpMSpV with one matrix: preprocess once
 // (tiling + very-sparse extraction, in both orientations), then multiply
 // against many sparse vectors with automatic kernel selection. This is the
-// API the examples and the BFS-style applications use.
+// API the examples and the BFS-style applications use. SemiringOperator
+// is the same entry point over a GraphBLAS semiring (core/semiring.hpp).
 //
 // The paper provides two forms of the kernel (§3.2.3) — matrix-driven
 // CSR-SpMSpV and vector-driven CSC-SpMSpV — "automatically selected"
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "baselines/tile_spmv.hpp"
+#include "core/semiring.hpp"
 #include "core/tile_spmspv.hpp"
 #include "formats/csr.hpp"
 #include "formats/sparse_vector.hpp"
@@ -120,7 +122,7 @@ class SpmspvOperator {
   SparseVec<T> multiply_masked(const TileVector<T>& x,
                                const std::vector<bool>& mask_dense,
                                bool complement = false) {
-    return tile_spmspv_masked(tiled_, x, mask_dense, complement, ws_, pool_);
+    return tile_spmspv(tiled_, x, ws_, pool_, &mask_dense, complement);
   }
 
   SparseVec<T> multiply_masked(const SparseVec<T>& x,
@@ -153,6 +155,56 @@ class SpmspvOperator {
   TileMatrix<T> tiled_;    // A, CSR-of-tiles
   TileMatrix<T> tiled_t_;  // Aᵀ, CSR-of-tiles == CSC-of-tiles view of A
   bool has_transpose_ = true;  // false on mapped files without a Aᵀ part
+  SpmspvWorkspace<T> ws_;
+  ThreadPool* pool_;
+};
+
+/// Repeated multiplies over a semiring S (core/semiring.hpp): y = A ⊗ x
+/// on the CSC-form kernel with S's add, mul and zero, so shortest-path,
+/// reachability and reliability iterations get the same deterministic
+/// bucket merge, spans and counters as numeric kCsc multiplies. The
+/// result holds every output whose value is not S::zero(). Preprocesses
+/// Aᵀ once; owns the workspace its multiplies reuse.
+template <typename S, typename T = typename S::value_type>
+class SemiringOperator {
+ public:
+  SemiringOperator(const Csr<T>& a, index_t nt = 16,
+                   index_t extract_threshold = 2, ThreadPool* pool = nullptr)
+      : nt_(nt),
+        tiled_t_(TileMatrix<T>::from_csr(a.transpose(), nt,
+                                         extract_threshold)),
+        pool_(pool) {}
+
+  SparseVec<T> multiply(const SparseVec<T>& x) {
+    const TileVector<T> xt = tile_vector_for_semiring(x);
+    return tile_spmspv_csc<T, S>(tiled_t_, xt, ws_, pool_);
+  }
+
+ private:
+  /// TileVector's empty slots read as T{}; for semirings whose identity is
+  /// not T{} (min-plus!) the padding inside non-empty tiles must be
+  /// S::zero() instead, so the tile is built here with explicit fill.
+  TileVector<T> tile_vector_for_semiring(const SparseVec<T>& x) const {
+    TileVector<T> v;
+    v.n = x.n;
+    v.nt = nt_;
+    const index_t tiles = ceil_div(x.n, nt_);
+    v.x_ptr.assign(tiles, kEmptyTile);
+    index_t slots = 0;
+    for (index_t i : x.idx) {
+      index_t& p = v.x_ptr[i / nt_];
+      if (p == kEmptyTile) p = slots++;
+    }
+    v.x_tile.assign(static_cast<std::size_t>(slots) * nt_, S::zero());
+    for (std::size_t k = 0; k < x.idx.size(); ++k) {
+      const index_t i = x.idx[k];
+      v.x_tile[v.x_ptr[i / nt_] * nt_ + i % nt_] = x.vals[k];
+    }
+    return v;
+  }
+
+  index_t nt_;
+  TileMatrix<T> tiled_t_;
   SpmspvWorkspace<T> ws_;
   ThreadPool* pool_;
 };

@@ -10,10 +10,15 @@
 // COO at preprocessing time is processed by a separate edge-parallel pass
 // merged into the same output (paper §3.2.1 / §3.4 hybrid).
 //
-// Execution-layer notes (this file implements all three scalar forms):
+// The paper's two forms (§3.2.3), one function each: the CSR form
+// (tile_spmspv) takes an optional output mask, the GraphBLAS fused
+// y<mask> = A x; the CSC form (tile_spmspv_csc) takes a semiring
+// (core/semiring.hpp), numeric plus-times by default.
+//
+// Execution-layer notes:
 //   - the CSC form scatters into per-range privatized buckets instead of
-//     taking a CAS per value; buckets are merged in index order during the
-//     gather, so the hot loop carries no value atomics at all;
+//     taking a CAS or a lock per value; buckets are merged in index order
+//     during the gather, so the hot loop carries no atomics at all;
 //   - phase 3 (gather) runs as a parallel range-concatenation: disjoint
 //     tile ranges assemble privately sized from the flagged-tile count and
 //     are spliced with a prefix sum, preserving the exact serial output;
@@ -27,6 +32,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/semiring.hpp"
 #include "formats/sparse_vector.hpp"
 #include "obs/counters.hpp"
 #include "obs/shard_stats.hpp"
@@ -50,48 +56,17 @@ namespace detail {
 inline constexpr int kProdScratch = 4096;
 
 /// Dense-in-tile accumulation for one intra-CSR tile: acc[lr] +=
-/// sum_i vals[i] * xt[cols[i]] over the tile's local rows. For double the
-/// gather+multiply runs through the SIMD layer (flat over the whole tile
-/// when it fits the scratch, per-row dots otherwise); other value types
-/// keep the straightforward scalar loops.
-template <typename T>
-inline void intra_tile_accumulate(const T* vals, const std::uint8_t* cols,
-                                  const std::uint16_t* p, index_t nt,
-                                  const T* xt, T* acc, T* prod) {  // lint:hot-path
-  if constexpr (std::is_same_v<T, double>) {
-    const int nnz = p[nt];
-    if (nnz <= kProdScratch) {
-      simd::gather_mul(vals, cols, nnz, xt, prod);
-      for (index_t lr = 0; lr < nt; ++lr) {
-        const int b = p[lr], e = p[lr + 1];
-        if (e > b) acc[lr] += simd::range_sum(prod + b, e - b);
-      }
-      return;
-    }
-    for (index_t lr = 0; lr < nt; ++lr) {
-      const int b = p[lr], e = p[lr + 1];
-      if (e > b) acc[lr] += simd::dot_gather(vals + b, cols + b, e - b, xt);
-    }
-  } else {
-    (void)prod;
-    for (index_t lr = 0; lr < nt; ++lr) {
-      T sum{};
-      for (int i = p[lr]; i < p[lr + 1]; ++i) {
-        sum += vals[i] * xt[cols[i]];
-      }
-      acc[lr] += sum;
-    }
-  }
-}
-
-/// Run-driven variant: `runs` lists the tile's non-empty local rows as
-/// (row, count - 1, contiguous) byte triples covering the tile's entries
-/// in order (see TileMatrix::build_row_runs). Sparse tiles touch only
-/// their populated rows — no nt-iteration row-pointer scan — and the tile's
-/// precomputed `strategy` selects the micro-kernel its run shape favors:
-/// per-run dots (gather-free FMA on contiguous-column rows, hardware
-/// gather on long scattered rows), the flat gather + segment sums, or a
-/// plain scalar loop for tiles of a handful of entries.
+/// sum_i vals[i] * xt[cols[i]] over the tile's local rows. `runs` lists
+/// the tile's non-empty local rows as (row, count - 1, contiguous) byte
+/// triples covering the tile's entries in order (see
+/// TileMatrix::build_row_runs, which every construction path runs).
+/// Sparse tiles touch only their populated rows — no nt-iteration
+/// row-pointer scan — and for double the tile's precomputed `strategy`
+/// selects the SIMD micro-kernel its run shape favors: per-run dots
+/// (gather-free FMA on contiguous-column rows, hardware gather on long
+/// scattered rows), the flat gather + segment sums, or a plain scalar loop
+/// for tiles of a handful of entries. Other value types take the scalar
+/// loop.
 template <typename T>
 inline void intra_tile_accumulate_runs(const T* vals, const std::uint8_t* cols,
                                        const std::uint8_t* runs, int nruns,
@@ -170,8 +145,11 @@ struct GatherScratch {
 /// Reusable buffers so per-multiply cost stays proportional to the touched
 /// rows, not to the matrix size (important at vector sparsity 1e-4, where a
 /// full O(rows) clear would dominate and hide the algorithm's advantage).
-/// Invariants between calls: y_dense, tile_flag, priv_vals and priv_touched
-/// are all-zero; priv_list entries are empty; `active` holds garbage.
+/// Invariants between calls: y_dense, tile_flag and priv_touched are
+/// all-zero; priv_vals holds the CSC semiring's zero (ensure_csc's fill);
+/// priv_list entries are empty; `active` holds garbage. One workspace
+/// serves one semiring: CSC multiplies over two semirings whose zeros
+/// differ (plus-times and min-plus) need a workspace each.
 template <typename T = value_t>
 struct SpmspvWorkspace {
   std::vector<T> y_dense;                  // all-zero between calls
@@ -209,10 +187,11 @@ struct SpmspvWorkspace {
     }
   }
 
-  void ensure_csc(index_t out_tiles, index_t nt, int buckets) {
+  /// `zero` fills new bucket slots: the semiring zero the merge restores.
+  void ensure_csc(index_t out_tiles, index_t nt, int buckets, T zero) {
     const std::size_t need_vals = static_cast<std::size_t>(buckets) *
                                   static_cast<std::size_t>(out_tiles) * nt;
-    if (priv_vals.size() < need_vals) priv_vals.resize(need_vals, T{});
+    if (priv_vals.size() < need_vals) priv_vals.resize(need_vals, zero);
     const std::size_t need_touched =
         static_cast<std::size_t>(buckets) * out_tiles;
     if (priv_touched.size() < need_touched) {
@@ -291,9 +270,34 @@ void splice_ranges(index_t ranges, GatherScratch<T>& gs, ThreadPool* pool,
       pool, /*chunk=*/1);
 }
 
-/// Phase-3 gather over a dense accumulator + per-tile flags (CSR and masked
-/// forms): emits nonzeros of flagged tiles in index order, restoring the
-/// all-zero workspace invariant. `mask` (optional) suppresses emission at
+/// Runs assemble(begin, end, out_idx, out_vals) over items [0, m) into
+/// `y`: serially when gather_ranges says so, else over equal contiguous
+/// ranges into the per-range buffers, spliced in range order — the same
+/// output as the serial call.
+template <typename T, typename Assemble>
+void assemble_ranges(index_t m, const Assemble& assemble, GatherScratch<T>& gs,
+                     ThreadPool& p, SparseVec<T>& y) {
+  const index_t ranges = gather_ranges(m, p);
+  if (ranges <= 1) {
+    assemble(0, m, y.idx, y.vals);
+    return;
+  }
+  gs.ensure(ranges);
+  const index_t per = ceil_div(m, ranges);
+  parallel_for(
+      ranges,
+      [&](index_t r) {
+        const index_t begin = r * per;
+        const index_t end = std::min<index_t>(begin + per, m);
+        assemble(begin, end, gs.idx[r], gs.vals[r]);
+      },
+      &p, /*chunk=*/1);
+  splice_ranges(ranges, gs, &p, y);
+}
+
+/// Phase-3 gather over a dense accumulator + per-tile flags (CSR form):
+/// emits nonzeros of flagged tiles in index order, restoring the all-zero
+/// workspace invariant. `mask` (optional) suppresses emission at
 /// positions where mask[r] == complement; the accumulator is cleared either
 /// way. Parallel ranges produce bit-identical output to the serial loop.
 template <typename T>
@@ -304,7 +308,6 @@ SparseVec<T> gather_flagged_tiles(index_t n, index_t tiles, index_t nt, T* yd,
                                   bool complement) {
   ThreadPool& p = pool ? *pool : ThreadPool::shared();
   SparseVec<T> y(n);
-  const index_t ranges = gather_ranges(tiles, p);
 
   const auto assemble = [&](index_t t_begin, index_t t_end,
                             std::vector<index_t>& out_idx,
@@ -331,21 +334,7 @@ SparseVec<T> gather_flagged_tiles(index_t n, index_t tiles, index_t nt, T* yd,
     }
   };
 
-  if (ranges <= 1) {
-    assemble(0, tiles, y.idx, y.vals);
-    return y;
-  }
-  gs.ensure(ranges);
-  const index_t per = ceil_div(tiles, ranges);
-  parallel_for(
-      ranges,
-      [&](index_t r) {
-        const index_t t_begin = r * per;
-        const index_t t_end = std::min<index_t>(t_begin + per, tiles);
-        assemble(t_begin, t_end, gs.idx[r], gs.vals[r]);
-      },
-      &p, /*chunk=*/1);
-  splice_ranges(ranges, gs, &p, y);
+  assemble_ranges(tiles, assemble, gs, p, y);
   return y;
 }
 
@@ -387,9 +376,22 @@ const std::vector<index_t>& phase1_shard_bounds(SpmspvWorkspace<T>& ws,
 }  // namespace detail
 
 /// y = A x with A in tiled form and x in tiled vector form.
+///
+/// With `mask` set this is the masked multiply y<mask> = A x, the
+/// GraphBLAS fused form: only output positions r with
+/// (*mask)[r] != complement are emitted — with `complement` set, the
+/// positions NOT in the mask (the BFS recurrence: next = (A·frontier)
+/// masked by the complement of visited). Phases 1-2 run unmasked (output
+/// positions are unknown until computed); the gather applies the mask, so
+/// masked-out values never reach the output vector and the intermediate
+/// vector of mask(tile_spmspv(...), m) is never materialized.
 template <typename T>
 SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
-                         SpmspvWorkspace<T>& ws, ThreadPool* pool = nullptr) {
+                         SpmspvWorkspace<T>& ws, ThreadPool* pool = nullptr,
+                         const std::vector<bool>* mask = nullptr,
+                         bool complement = false) {
+  assert(mask == nullptr || static_cast<index_t>(mask->size()) == a.rows);
+  const char* const form = mask ? "masked" : "csr";
   const index_t nt = a.nt;
   ws.ensure(a.rows, a.tile_rows);
   T* yd = ws.y_dense.data();
@@ -400,7 +402,7 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
   // accumulate into locals and flush once per chunk; with counters
   // compiled out the adds are dead and the locals fold away.
   {
-    obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "csr");
+    obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", form);
     std::vector<index_t> fallback;
     const std::vector<index_t>* cp = &a.row_chunk_ptr;
     if (cp->size() < 2) {
@@ -409,8 +411,7 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
     }
     const auto nchunks = static_cast<index_t>(cp->size()) - 1;
     const index_t* chunk_ptr = cp->data();
-    const bool have_runs =
-        a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1;
+    assert(a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1);
     const auto chunk_body = [&](index_t c) {
           T acc[256];  // nt <= 256 by TileMatrix invariant
           T prod[detail::kProdScratch];
@@ -434,17 +435,11 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
                 for (index_t i = 0; i < nt; ++i) acc[i] = T{};
                 any = true;
               }
-              if (have_runs) {
-                detail::intra_tile_accumulate_runs(
-                    &a.vals[base], &a.local_col[base],
-                    a.row_runs.data() + 3 * a.run_ptr[t],
-                    static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
-                    tile_nnz, a.tile_strategy[t], xt, acc, prod);
-              } else {
-                detail::intra_tile_accumulate(
-                    &a.vals[base], &a.local_col[base],
-                    &a.intra_row_ptr[t * (nt + 1)], nt, xt, acc, prod);
-              }
+              detail::intra_tile_accumulate_runs(
+                  &a.vals[base], &a.local_col[base],
+                  a.row_runs.data() + 3 * a.run_ptr[t],
+                  static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
+                  tile_nnz, a.tile_strategy[t], xt, acc, prod);
             }
             if (any) {
               const index_t r_begin = tr * nt;
@@ -480,7 +475,7 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
   // Phase 2: extracted very-sparse part, driven by the active columns so
   // its cost is proportional to nnz(x), not to the side-matrix size.
   if (a.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", "csr");
+    obs::TraceSpan span("spmspv/phase2_side", "spmspv", form);
     ws.active.clear();
     for (index_t s = 0; s < x.num_tiles(); ++s) {
       if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
@@ -513,11 +508,11 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 
   // Phase 3: gather touched tile rows into the sparse result and restore
   // the workspace's all-zero invariant.
-  obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "csr");
+  obs::TraceSpan span("spmspv/phase3_gather", "spmspv", form);
   obs::counter_add(obs::Counter::kGatherSlots,
                    static_cast<std::uint64_t>(a.tile_rows));
   return detail::gather_flagged_tiles(a.rows, a.tile_rows, nt, yd, flag,
-                                      ws.gather, pool, nullptr, false);
+                                      ws.gather, pool, mask, complement);
 }
 
 /// Convenience overload owning a transient workspace.
@@ -546,10 +541,18 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
 /// gather sums buckets in index order. The hot loop performs no value
 /// atomics, and the summation order depends only on the pool size, never
 /// on which thread ran which range, so results are bitwise reproducible.
-template <typename T>
+///
+/// The scalar operations come from the semiring `S` (core/semiring.hpp),
+/// so shortest-path (min-plus), reachability (or-and) and reliability
+/// (max-times) run on the same kernel; the default plus-times is the
+/// numeric multiply. x's padding inside non-empty tiles must be
+/// S::zero(), and `ws` must serve this one semiring (see SpmspvWorkspace).
+/// The result holds every output whose accumulated value is not S::zero().
+template <typename T, typename S = PlusTimes<T>>
 SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
                              SpmspvWorkspace<T>& ws,
                              ThreadPool* pool = nullptr) {
+  const T zero = S::zero();
   const index_t nt = at.nt;
   const index_t out_n = at.cols;  // rows of A
   const index_t out_tiles = at.tile_cols;
@@ -557,7 +560,7 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
   const int buckets = static_cast<int>(p.size());
   const std::size_t stride =
       static_cast<std::size_t>(out_tiles) * static_cast<std::size_t>(nt);
-  ws.ensure_csc(out_tiles, nt, buckets);
+  ws.ensure_csc(out_tiles, nt, buckets, zero);
 
   // Cuts items [0, m) into static ranges weighted by weight(i) and runs
   // scatter(i, vals, touched, list) for each item of range r on bucket
@@ -620,13 +623,14 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
             bool touched = false;
             for (index_t lj = 0; lj < nt; ++lj) {  // local input index
               const T xv = xt[lj];
-              if (xv == T{}) continue;
+              if (xv == zero) continue;
               const int b = rp[lj], e = rp[lj + 1];
               if (e == b) continue;
               macs += static_cast<std::uint64_t>(e - b);
               touched = true;
               for (offset_t i = base + b; i < base + e; ++i) {
-                tb[at.local_col[i]] += at.vals[i] * xv;
+                T& slot = tb[at.local_col[i]];
+                slot = S::add(slot, S::mul(at.vals[i], xv));
               }
             }
             if (touched && !pt[out_tile]) {
@@ -673,13 +677,13 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
             const index_t j = s * nt + lj;
             if (j >= at.rows) break;
             const T xv = xt[lj];
-            if (xv == T{}) continue;
+            if (xv == zero) continue;
             side += static_cast<std::uint64_t>(at.side_row_ptr[j + 1] -
                                                at.side_row_ptr[j]);
             for (offset_t k = at.side_row_ptr[j]; k < at.side_row_ptr[j + 1];
                  ++k) {
               const index_t i = at.extracted.col_idx[k];
-              pv[i] += at.extracted.vals[k] * xv;
+              pv[i] = S::add(pv[i], S::mul(at.extracted.vals[k], xv));
               const index_t ot = i / nt;
               if (!pt[ot]) {
                 pt[ot] = 1;
@@ -694,11 +698,9 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
   // Phase 3: merge the privatized buckets in index order and gather,
   // driven by the union of the per-range touched lists — cost
   // proportional to the tiles the multiply actually produced, never to the
-  // output tile grid (the old atomic kernel's gather scanned every output
-  // tile's flag). Sorting the
-  // union keeps the emitted indices ordered; each candidate tile is owned
-  // by exactly one range, so bucket blocks are read, summed and re-zeroed
-  // without synchronization.
+  // output tile grid. Sorting the union keeps the emitted indices ordered;
+  // each candidate tile is owned by exactly one range, so bucket blocks are
+  // read, summed and re-zeroed without synchronization.
   obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "csc");
   obs::counter_add(obs::Counter::kGatherSlots,
                    static_cast<std::uint64_t>(out_tiles));
@@ -740,13 +742,13 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
         if (!any) {
           for (index_t i = 0; i < nt; ++i) {
             merged[i] = tb[i];
-            tb[i] = T{};
+            tb[i] = zero;
           }
           any = true;
         } else {
           for (index_t i = 0; i < nt; ++i) {
-            merged[i] += tb[i];
-            tb[i] = T{};
+            merged[i] = S::add(merged[i], tb[i]);
+            tb[i] = zero;
           }
         }
       }
@@ -754,7 +756,7 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
       const index_t r_begin = ot * nt;
       const index_t r_end = std::min<index_t>(r_begin + nt, out_n);
       for (index_t r = r_begin; r < r_end; ++r) {
-        if (merged[r - r_begin] != T{}) {
+        if (merged[r - r_begin] != zero) {
           out_idx.push_back(r);
           out_vals.push_back(merged[r - r_begin]);
         }
@@ -762,22 +764,7 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
     }
   };
 
-  const index_t ranges = detail::gather_ranges(ncand, p);
-  if (ranges <= 1) {
-    merge_range(0, ncand, y.idx, y.vals);
-  } else {
-    ws.gather.ensure(ranges);
-    const index_t per = ceil_div(ncand, ranges);
-    parallel_for(
-        ranges,
-        [&](index_t r) {
-          const index_t c_begin = r * per;
-          const index_t c_end = std::min<index_t>(c_begin + per, ncand);
-          merge_range(c_begin, c_end, ws.gather.idx[r], ws.gather.vals[r]);
-        },
-        &p, /*chunk=*/1);
-    detail::splice_ranges(ranges, ws.gather, &p, y);
-  }
+  detail::assemble_ranges(ncand, merge_range, ws.gather, p, y);
   return y;
 }
 
@@ -786,140 +773,6 @@ SparseVec<T> tile_spmspv_csc(const TileMatrix<T>& at, const TileVector<T>& x,
                              ThreadPool* pool = nullptr) {
   SpmspvWorkspace<T> ws;
   return tile_spmspv_csc(at, x, ws, pool);
-}
-
-/// Masked SpMSpV: y<mask> = A x, the GraphBLAS fused form. Only output
-/// positions allowed by the mask are emitted — with `complement` set,
-/// positions NOT in the mask (the BFS recurrence: next = (A·frontier)
-/// masked by the complement of visited). The multiply itself runs
-/// unmasked (output positions are unknown until computed); the fusion
-/// saves the intermediate vector materialization and the second merge
-/// pass of mask(tile_spmspv(...), m).
-template <typename T>
-SparseVec<T> tile_spmspv_masked(const TileMatrix<T>& a,
-                                const TileVector<T>& x,
-                                const std::vector<bool>& mask_dense,
-                                bool complement, SpmspvWorkspace<T>& ws,
-                                ThreadPool* pool = nullptr) {
-  assert(static_cast<index_t>(mask_dense.size()) == a.rows);
-  // Phases 1-2 identical to tile_spmspv; phase 3 applies the mask during
-  // the gather, so masked-out values never reach the output vector.
-  const index_t nt = a.nt;
-  ws.ensure(a.rows, a.tile_rows);
-  T* yd = ws.y_dense.data();
-  unsigned char* flag = ws.tile_flag.data();
-
-  {
-    obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "masked");
-    std::vector<index_t> fallback;
-    const std::vector<index_t>* cp = &a.row_chunk_ptr;
-    if (cp->size() < 2) {
-      fallback = uniform_row_chunks(a.tile_rows, 8);
-      cp = &fallback;
-    }
-    const auto nchunks = static_cast<index_t>(cp->size()) - 1;
-    const index_t* chunk_ptr = cp->data();
-    const bool have_runs =
-        a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1;
-    const auto chunk_body = [&](index_t c) {
-          T acc[256];
-          T prod[detail::kProdScratch];
-          std::uint64_t scanned = 0, computed = 0, macs = 0;
-          for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
-            bool any = false;
-            for (offset_t t = a.tile_row_ptr[tr]; t < a.tile_row_ptr[tr + 1];
-                 ++t) {
-              ++scanned;
-              const index_t x_offset = x.x_ptr[a.tile_col_id[t]];
-              if (x_offset == kEmptyTile) continue;
-              ++computed;
-              const offset_t base = a.tile_nnz_ptr[t];
-              const auto tile_nnz =
-                  static_cast<int>(a.tile_nnz_ptr[t + 1] - base);
-              macs += static_cast<std::uint64_t>(tile_nnz);
-              const T* xt =
-                  &x.x_tile[static_cast<std::size_t>(x_offset) * nt];
-              if (!any) {
-                for (index_t i = 0; i < nt; ++i) acc[i] = T{};
-                any = true;
-              }
-              if (have_runs) {
-                detail::intra_tile_accumulate_runs(
-                    &a.vals[base], &a.local_col[base],
-                    a.row_runs.data() + 3 * a.run_ptr[t],
-                    static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
-                    tile_nnz, a.tile_strategy[t], xt, acc, prod);
-              } else {
-                detail::intra_tile_accumulate(
-                    &a.vals[base], &a.local_col[base],
-                    &a.intra_row_ptr[t * (nt + 1)], nt, xt, acc, prod);
-              }
-            }
-            if (any) {
-              const index_t r_end = std::min<index_t>((tr + 1) * nt, a.rows);
-              for (index_t r = tr * nt; r < r_end; ++r) {
-                yd[r] = acc[r - tr * nt];
-              }
-              flag[tr] = 1;
-            }
-          }
-          obs::counter_add(obs::Counter::kTilesScanned, scanned);
-          obs::counter_add(obs::Counter::kTilesSkippedEmpty,
-                           scanned - computed);
-          obs::counter_add(obs::Counter::kTilesComputed, computed);
-          obs::counter_add(obs::Counter::kPayloadMacs, macs);
-          obs::shard_add_tiles(ThreadPool::current_shard(), scanned);
-    };
-    ThreadPool& p1 = pool ? *pool : ThreadPool::shared();
-    if (p1.num_shards() > 1 && nchunks > 1) {
-      const std::vector<index_t>& sb = detail::phase1_shard_bounds(
-          ws, a, chunk_ptr, nchunks, p1.num_shards());
-      p1.parallel_shard_ranges(sb, 1, [&](index_t begin, index_t end) {
-        for (index_t c = begin; c < end; ++c) chunk_body(c);
-      });
-    } else {
-      parallel_for(nchunks, chunk_body, pool, /*chunk=*/1);
-    }
-  }
-
-  if (a.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", "masked");
-    ws.active.clear();
-    for (index_t s = 0; s < x.num_tiles(); ++s) {
-      if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
-    }
-    const std::vector<index_t>& active = ws.active;
-    parallel_for(
-        static_cast<index_t>(active.size()),
-        [&](index_t ai) {
-          const index_t s = active[ai];
-          const T* xt = &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
-          std::uint64_t side = 0;
-          for (index_t lj = 0; lj < nt; ++lj) {
-            const index_t j = s * nt + lj;
-            if (j >= a.cols) break;
-            const T xv = xt[lj];
-            if (xv == T{}) continue;
-            side += static_cast<std::uint64_t>(a.side_col_ptr[j + 1] -
-                                               a.side_col_ptr[j]);
-            for (offset_t i = a.side_col_ptr[j]; i < a.side_col_ptr[j + 1];
-                 ++i) {
-              const index_t r = a.side_row_idx[i];
-              atomic_add(&yd[r], a.side_vals[i] * xv);
-              atomic_or<unsigned char>(&flag[r / nt], 1);
-            }
-          }
-          obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        pool, /*chunk=*/16);
-  }
-
-  obs::TraceSpan span("spmspv/phase3_gather", "spmspv", "masked");
-  obs::counter_add(obs::Counter::kGatherSlots,
-                   static_cast<std::uint64_t>(a.tile_rows));
-  return detail::gather_flagged_tiles(a.rows, a.tile_rows, nt, yd, flag,
-                                      ws.gather, pool, &mask_dense,
-                                      complement);
 }
 
 }  // namespace tilespmspv

@@ -1,9 +1,10 @@
-// Minimal DOM JSON parser for the observability layer: bench_compare and
-// the bench-report tests need to read values back out of BENCH_*.json
-// files, not just validate their structure (obs/json.hpp stays the
-// validating/streaming half). Insertion order of object members is
-// preserved so round-trips are inspectable; numbers are stored as double
-// (every value the bench schema emits fits). No external dependency.
+// Minimal DOM JSON parser, the one JSON reader of the tree: bench_compare,
+// the serving daemon and the bench-report tests read values back out of
+// it, and tests use it to check that emitted files are well-formed (it
+// rejects trailing input and nesting deeper than 128). obs/json.hpp is the
+// streaming writer half. Insertion order of object members is preserved
+// so round-trips are inspectable; numbers are stored as double (every
+// value the bench schema emits fits). No external dependency.
 #pragma once
 
 #include <cctype>

@@ -4,11 +4,14 @@
 // output tiles on pools of several sizes, so a data race in the bucket
 // ownership or the merge hand-off is visible to ThreadSanitizer (CI runs
 // this binary under TSan) and any lost update breaks the exact-value
-// checks below.
+// checks below. Semiring multiplies (SemiringOperator) run the same kernel
+// and are held to the same bitwise checks.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
+#include "core/spmspv.hpp"
 #include "core/spmspv_reference.hpp"
 #include "core/tile_spmspv.hpp"
 #include "gen/erdos_renyi.hpp"
@@ -62,6 +65,56 @@ TEST(CscMerge, RepeatedMultiplyIsBitwiseIdenticalOnOnePool) {
     const SparseVec<value_t> first = tile_spmspv_csc(at, xt, ws, &pool);
     for (int rep = 0; rep < 50; ++rep) {
       const SparseVec<value_t> y = tile_spmspv_csc(at, xt, ws, &pool);
+      ASSERT_EQ(y.idx, first.idx) << "threads=" << threads << " rep=" << rep;
+      ASSERT_EQ(y.vals, first.vals) << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
+// The semiring operator runs the same CSC kernel: under plus-times it must
+// reproduce the numeric kCsc tier bit for bit on every pool size (same
+// buckets, same merge order), with and without a side COO part.
+TEST(CscMerge, PlusTimesSemiringEqualsCscKernelAllPoolSizes) {
+  const Csr<value_t> thin =
+      Csr<value_t>::from_coo(gen_erdos_renyi(64, 2048, 0.02, 42));
+  const Csr<value_t> square =
+      Csr<value_t>::from_coo(gen_erdos_renyi(1500, 1500, 0.004, 43));
+  for (const Csr<value_t>* a : {&thin, &square}) {
+    SCOPED_TRACE("rows=" + std::to_string(a->rows));
+    for (const index_t extract : {index_t{0}, index_t{4}}) {
+      const SparseVec<value_t> x = gen_sparse_vector(a->cols, 0.3, 7);
+      for (const int threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        SpmspvConfig cfg;
+        cfg.extract_threshold = extract;
+        cfg.kernel = SpmspvKernel::kCsc;
+        SpmspvOperator<value_t> numeric(*a, cfg, &pool);
+        SemiringOperator<PlusTimes<value_t>> semiring(*a, cfg.nt, extract,
+                                                      &pool);
+        const SparseVec<value_t> want = numeric.multiply(x);
+        const SparseVec<value_t> got = semiring.multiply(x);
+        EXPECT_EQ(got.idx, want.idx)
+            << "extract=" << extract << " threads=" << threads;
+        EXPECT_EQ(got.vals, want.vals)
+            << "extract=" << extract << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// Semiring multiplies inherit the kernel's schedule independence: one
+// multiply repeated on one pool gives identical bits every time.
+TEST(CscMerge, RepeatedSemiringMultiplyIsBitwiseIdenticalOnOnePool) {
+  const Csr<value_t> a =
+      Csr<value_t>::from_coo(gen_erdos_renyi(64, 2048, 0.02, 42));
+  const SparseVec<value_t> x = gen_sparse_vector(2048, 0.8, 7);
+  for (const int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    SemiringOperator<PlusTimes<value_t>> op(a, 16, /*extract_threshold=*/4,
+                                            &pool);
+    const SparseVec<value_t> first = op.multiply(x);
+    for (int rep = 0; rep < 50; ++rep) {
+      const SparseVec<value_t> y = op.multiply(x);
       ASSERT_EQ(y.idx, first.idx) << "threads=" << threads << " rep=" << rep;
       ASSERT_EQ(y.vals, first.vals) << "threads=" << threads << " rep=" << rep;
     }

@@ -1,7 +1,9 @@
 // Tests for the trace-span layer: spans must be dropped when tracing is
 // off, recorded and exported as well-formed Chrome trace-event JSON when
 // on (covering SpMSpV phases and BFS iterations), and the per-thread ring
-// must overwrite the oldest events instead of growing.
+// must overwrite the oldest events instead of growing. Well-formedness is
+// checked with the DOM parser (obs/json_value.hpp), whose rejection of
+// malformed input is pinned here too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +15,7 @@
 #include "core/tile_spmspv.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/vector_gen.hpp"
-#include "obs/json.hpp"
+#include "obs/json_value.hpp"
 #include "obs/trace.hpp"
 
 namespace tilespmspv {
@@ -23,6 +25,21 @@ std::string export_trace() {
   std::ostringstream os;
   obs::trace_write_chrome_json(os);
   return os.str();
+}
+
+bool parses_as_json(const std::string& s) {
+  obs::JsonValue v;
+  return obs::json_parse_value(s, &v);
+}
+
+// The well-formedness checks below are only as strong as the parser's
+// rejections: a whole value must be consumed, and truncation must fail.
+TEST(ObsTraceJson, ParserRejectsTrailingGarbageAndTruncation) {
+  EXPECT_TRUE(parses_as_json(R"({"traceEvents":[{"ph":"X"}]})"));
+  EXPECT_FALSE(parses_as_json(R"({"traceEvents":[]} garbage)"));
+  EXPECT_FALSE(parses_as_json(R"({"traceEvents":[]}})"));
+  EXPECT_FALSE(parses_as_json(R"({"traceEvents":[{"ph":"X"})"));
+  EXPECT_FALSE(parses_as_json(R"({"traceEvents":)"));
 }
 
 class ObsTraceTest : public ::testing::Test {
@@ -38,7 +55,7 @@ TEST_F(ObsTraceTest, DisabledByDefaultRecordsNothing) {
   { obs::TraceSpan span("test/noop", "test"); }
   EXPECT_EQ(obs::trace_event_count(), 0u);
   const std::string json = export_trace();
-  EXPECT_TRUE(obs::json_parse_ok(json)) << json;
+  EXPECT_TRUE(parses_as_json(json)) << json;
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
 }
 
@@ -58,7 +75,7 @@ TEST_F(ObsTraceTest, RecordsKernelAndBfsSpans) {
 
   EXPECT_GT(obs::trace_event_count(), 0u);
   const std::string json = export_trace();
-  EXPECT_TRUE(obs::json_parse_ok(json));
+  EXPECT_TRUE(parses_as_json(json));
   EXPECT_NE(json.find("convert/tile_matrix"), std::string::npos);
   EXPECT_NE(json.find("spmspv/phase1_tiled"), std::string::npos);
   EXPECT_NE(json.find("spmspv/phase3_gather"), std::string::npos);
@@ -92,7 +109,7 @@ TEST_F(ObsTraceTest, RingOverwritesOldestEvents) {
   obs::trace_disable();
   // Single recording thread: at most 4 buffered events survive.
   EXPECT_EQ(obs::trace_event_count(), 4u);
-  EXPECT_TRUE(obs::json_parse_ok(export_trace()));
+  EXPECT_TRUE(parses_as_json(export_trace()));
 }
 
 TEST_F(ObsTraceTest, ClearDropsBufferedEvents) {
@@ -115,7 +132,7 @@ TEST_F(ObsTraceTest, WritesLoadableFile) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_TRUE(obs::json_parse_ok(buf.str()));
+  EXPECT_TRUE(parses_as_json(buf.str()));
   EXPECT_NE(buf.str().find("test/file"), std::string::npos);
   EXPECT_NE(buf.str().find("detail-string"), std::string::npos);
   std::remove(path.c_str());
@@ -129,7 +146,7 @@ TEST_F(ObsTraceTest, StubsStayInertAndEmitEmptyTrace) {
   EXPECT_FALSE(obs::trace_enabled());
   EXPECT_EQ(obs::trace_event_count(), 0u);
   const std::string json = export_trace();
-  EXPECT_TRUE(obs::json_parse_ok(json));
+  EXPECT_TRUE(parses_as_json(json));
   EXPECT_EQ(json.find("test/stub"), std::string::npos);
 }
 

@@ -195,23 +195,38 @@ TEST(SpmspvOperator, AutoSelectsCscForVerySparseVectors) {
 TEST(SpmspvOperator, MaskedMultiplyMatchesFilterThenMultiply) {
   Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(600, 500, 0.02, 195));
-  SpmspvOperator<value_t> op(a);
   SparseVec<value_t> x = gen_sparse_vector(500, 0.05, 19);
   // Random structural mask over the output space.
   Prng rng(20);
   std::vector<bool> m(600);
   for (index_t r = 0; r < 600; ++r) m[r] = rng.next_bool(0.5);
+  const auto filter = [&](const SparseVec<value_t>& y, bool complement) {
+    SparseVec<value_t> out(600);
+    for (std::size_t k = 0; k < y.idx.size(); ++k) {
+      if (m[y.idx[k]] != complement) out.push(y.idx[k], y.vals[k]);
+    }
+    return out;
+  };
 
   const SparseVec<value_t> full = spmspv_rowwise_reference(a, x);
-  for (bool complement : {false, true}) {
-    const SparseVec<value_t> got = op.multiply_masked(x, m, complement);
-    SparseVec<value_t> expect(600);
-    for (std::size_t k = 0; k < full.idx.size(); ++k) {
-      if (m[full.idx[k]] != complement) {
-        expect.push(full.idx[k], full.vals[k]);
-      }
+  for (const index_t extract : {index_t{2}, index_t{0}}) {
+    SpmspvConfig cfg;
+    cfg.extract_threshold = extract;
+    cfg.kernel = SpmspvKernel::kCsr;
+    SpmspvOperator<value_t> op(a, cfg);
+    const SparseVec<value_t> unmasked = op.multiply(x);
+    for (bool complement : {false, true}) {
+      const SparseVec<value_t> got = op.multiply_masked(x, m, complement);
+      EXPECT_TRUE(approx_equal(got, filter(full, complement)))
+          << "extract=" << extract << " complement=" << complement;
+      if (extract != 0) continue;
+      // No extraction, no side pass: the CSR form runs without atomics,
+      // so the masked multiply is the unmasked one filtered, bit for bit.
+      ASSERT_EQ(op.matrix().extracted.nnz(), 0);
+      const SparseVec<value_t> expect = filter(unmasked, complement);
+      EXPECT_EQ(got.idx, expect.idx) << "complement=" << complement;
+      EXPECT_EQ(got.vals, expect.vals) << "complement=" << complement;
     }
-    EXPECT_TRUE(approx_equal(got, expect)) << "complement=" << complement;
   }
 }
 
