@@ -5,12 +5,18 @@
 // batch shares both the edge traversal (MS-BFS's win) and the tiled
 // locality (the paper's win). The extracted very-sparse part is expanded
 // through the source-indexed side list, as in single-source TileBFS.
+//
+// The graph follows BitTileGraph's convention (A[i][j] != 0 means edge
+// j -> i), so traversing a CSR whose row u lists u's out-edges, as ms_bfs
+// reads it, means building the graph from its transpose. Levels and
+// rounds match ms_bfs exactly.
 #pragma once
 
 #include <bit>
 #include <stdexcept>
 #include <vector>
 
+#include "apps/ms_bfs.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/bit_tile_graph.hpp"
@@ -18,19 +24,14 @@
 
 namespace tilespmspv {
 
-struct TileMsBfsResult {
-  std::vector<std::vector<index_t>> levels;  // [source][vertex]
-  int rounds = 0;
-};
-
 /// Runs up to 64 sources over a prebuilt BitTileGraph<NT>.
 template <int NT>
-TileMsBfsResult tile_ms_bfs(const BitTileGraph<NT>& g,
-                            const std::vector<index_t>& sources,
-                            ThreadPool* pool = nullptr) {
+MsBfsResult tile_ms_bfs(const BitTileGraph<NT>& g,
+                        const std::vector<index_t>& sources,
+                        ThreadPool* pool = nullptr) {
   using Word = bitword_t<NT>;
   const int k = static_cast<int>(sources.size());
-  TileMsBfsResult out;
+  MsBfsResult out;
   out.levels.assign(k, std::vector<index_t>(g.n, -1));
   if (k == 0) return out;
   if (k > 64) {
@@ -129,12 +130,14 @@ TileMsBfsResult tile_ms_bfs(const BitTileGraph<NT>& g,
 }
 
 /// Convenience overload building the tile structure (NT = 32) first.
-template <typename T>
-TileMsBfsResult tile_ms_bfs(const Csr<T>& a,
-                            const std::vector<index_t>& sources,
-                            index_t extract_threshold = 2,
-                            ThreadPool* pool = nullptr) {
-  const auto g = BitTileGraph<32>::from_csr(a, extract_threshold);
+/// `out_edges`: row u lists the out-neighbors of u, as for ms_bfs.
+inline MsBfsResult tile_ms_bfs(const Csr<value_t>& out_edges,
+                               const std::vector<index_t>& sources,
+                               index_t extract_threshold = 2,
+                               ThreadPool* pool = nullptr) {
+  const auto g =
+      BitTileGraph<32>::from_csr(out_edges.transpose(), extract_threshold,
+                                 /*share_symmetric=*/true, pool);
   return tile_ms_bfs(g, sources, pool);
 }
 

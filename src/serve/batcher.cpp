@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "apps/ms_bfs.hpp"
+#include "bfs/tile_ms_bfs.hpp"
 #include "core/tile_spmspm.hpp"
 #include "tile/tile_vector_block.hpp"
 
@@ -78,12 +78,15 @@ std::future<std::vector<index_t>> Batcher::submit_bfs(SnapshotPtr snap,
                                                       index_t source) {
   std::promise<std::vector<index_t>> p;
   std::future<std::vector<index_t>> fut = p.get_future();
-  if (!snap || !snap->has_transpose || source < 0 || source >= snap->rows) {
+  // graph.n == rows only when the snapshot carries the BFS graph.
+  if (!snap || snap->graph.n != snap->rows || source < 0 ||
+      source >= snap->rows) {
     std::lock_guard<std::mutex> g(mu_);
     ++bfs_queries_;
     ++errors_;
     p.set_exception(std::make_exception_ptr(std::invalid_argument(
-        "bfs: matrix must be square and source in range")));
+        "bfs: matrix has no BFS graph (non-square, or a tile file "
+        "without its transpose) or source out of range")));
     return fut;
   }
   {
@@ -220,7 +223,7 @@ void Batcher::flush_bfs(BfsQueue q) {
       const std::vector<index_t> sources(
           q.sources.begin() + static_cast<std::ptrdiff_t>(lo),
           q.sources.begin() + static_cast<std::ptrdiff_t>(hi));
-      MsBfsResult r = ms_bfs_tiled_on(q.snap->tiled_t, sources, pool_);
+      MsBfsResult r = tile_ms_bfs(q.snap->graph, sources, pool_);
       for (std::size_t i = 0; i < k; ++i) {
         q.promises[lo + i].set_value(std::move(r.levels[i]));
       }

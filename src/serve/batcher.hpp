@@ -1,7 +1,8 @@
 // Batch admission for the serving daemon: queries against the same
 // resident matrix accumulate in per-matrix queues and flush into ONE
-// block-engine call — tile_spmspm for SpMSpV batches, ms_bfs_tiled_on for
-// BFS batches — when k queries have accumulated or the oldest query's
+// batched call — the block engine tile_spmspm for SpMSpV batches, the
+// bit-parallel tile_ms_bfs over the snapshot's bitmask graph for BFS
+// batches — when k queries have accumulated or the oldest query's
 // deadline expires. This is how the daemon converts the block-of-k
 // amortization (ROADMAP item 2, core/tile_spmspm.hpp) into serving
 // throughput: concurrent clients share tile metadata walks without
@@ -54,16 +55,17 @@ class Batcher {
   std::future<SparseVec<value_t>> submit_spmspv(SnapshotPtr snap,
                                                 SparseVec<value_t> x);
 
-  /// Single-source BFS levels from `source` (the snapshot must be square;
-  /// levels[v] = -1 unreachable). Batched bit-parallel with other sources
-  /// admitted in the same window.
+  /// Single-source BFS levels from `source` along out-edges (row u of A
+  /// lists u's; levels[v] = -1 unreachable). The snapshot must carry the
+  /// BFS graph (see MatrixSnapshot::graph). Batched bit-parallel with other
+  /// sources admitted in the same window.
   std::future<std::vector<index_t>> submit_bfs(SnapshotPtr snap,
                                                index_t source);
 
   struct Stats {
     std::uint64_t spmspv_queries = 0;
     std::uint64_t bfs_queries = 0;
-    std::uint64_t flushes = 0;          // block-engine invocations
+    std::uint64_t flushes = 0;          // batched kernel invocations
     std::uint64_t batched_flushes = 0;  // flushes that carried k > 1
     std::uint64_t max_flush_k = 0;      // largest k in any single flush
     std::uint64_t errors = 0;           // queries resolved with an exception

@@ -60,23 +60,15 @@ std::string content_key(const std::string& serialized_bytes) {
 
 namespace {
 
-/// Approximate resident footprint of a tiled matrix: the payload vectors
-/// (values, indices, pointers, side COO, run list, strategy bytes).
-std::size_t tile_matrix_bytes(const TileMatrix<value_t>& m) {
-  auto vec_bytes = [](const auto& v) {
-    return v.size() * sizeof(typename std::decay_t<decltype(v)>::value_type);
-  };
-  std::size_t b = 0;
-  b += vec_bytes(m.tile_row_ptr) + vec_bytes(m.tile_col_id);
-  b += vec_bytes(m.tile_nnz_ptr) + vec_bytes(m.intra_row_ptr);
-  b += vec_bytes(m.local_col) + vec_bytes(m.vals);
-  b += vec_bytes(m.extracted.row_idx) + vec_bytes(m.extracted.col_idx) +
-       vec_bytes(m.extracted.vals);
-  b += vec_bytes(m.side_col_ptr) + vec_bytes(m.side_row_idx) +
-       vec_bytes(m.side_vals) + vec_bytes(m.side_row_ptr);
-  b += vec_bytes(m.row_chunk_ptr) + vec_bytes(m.run_ptr) +
-       vec_bytes(m.row_runs) + vec_bytes(m.tile_strategy);
-  return b;
+/// The BFS operand from the pattern of Aᵀ (values ignored). NT and the
+/// extraction threshold are fixed: the serve tile size (--nt) applies to
+/// the SpMSpV operand only. Built on the admitting thread alone, like the
+/// tiled form (a one-slot pool spawns no workers), so a reload under query
+/// traffic does not wait on pool workers the queries keep busy.
+BitTileGraph<32> bfs_graph(const Csr<value_t>& a_transpose) {
+  ThreadPool caller_only(1);
+  return BitTileGraph<32>::from_csr(a_transpose, /*extract_threshold=*/2,
+                                    /*share_symmetric=*/true, &caller_only);
 }
 
 }  // namespace
@@ -97,16 +89,9 @@ SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
   snap->cols = a.cols;
   snap->nnz = a.nnz();
   snap->tiled = TileMatrix<value_t>::from_csr(a, cfg.nt, cfg.extract_threshold);
-  if (a.rows == a.cols) {
-    // BFS expand operand: unit-weight tiled transpose (see apps/ms_bfs.hpp).
-    Csr<value_t> at = a.transpose();
-    for (auto& v : at.vals) v = value_t{1};
-    snap->tiled_t =
-        TileMatrix<value_t>::from_csr(at, cfg.nt, cfg.extract_threshold);
-    snap->has_transpose = true;
-  }
-  snap->bytes = sizeof(MatrixSnapshot) + tile_matrix_bytes(snap->tiled) +
-                tile_matrix_bytes(snap->tiled_t);
+  if (a.rows == a.cols) snap->graph = bfs_graph(a.transpose());
+  snap->bytes = sizeof(MatrixSnapshot) + snap->tiled.payload_bytes() +
+                snap->graph.payload_bytes();
   return snap;
 }
 
@@ -136,13 +121,14 @@ SnapshotPtr load_snapshot_tile_file(const std::string& path,
   // files written before the header carried a matrix edge count stay
   // servable with a correct nnz.
   snap->nnz = m.tiled.total_nnz();
-  // Footprint = the mapped pages; both orientations are views into the
-  // same mapping, so the file size is counted once.
+  if (m.has_transpose && m.tiled.rows == m.tiled.cols) {
+    snap->graph = bfs_graph(Csr<value_t>::from_coo(m.tiled_t.to_coo()));
+  }
+  // Footprint = the mapped pages plus the heap-built BFS graph.
   snap->bytes = sizeof(MatrixSnapshot) +
-                static_cast<std::size_t>(m.header.file_bytes);
+                static_cast<std::size_t>(m.header.file_bytes) +
+                snap->graph.payload_bytes();
   snap->tiled = std::move(m.tiled);
-  snap->tiled_t = std::move(m.tiled_t);
-  snap->has_transpose = m.has_transpose;
   snap->mapped = true;
   return snap;
 }

@@ -22,6 +22,7 @@
 
 #include "core/spmspv.hpp"
 #include "formats/csr.hpp"
+#include "tile/bit_tile_graph.hpp"
 #include "tile/tile_matrix.hpp"
 #include "util/types.hpp"
 
@@ -38,12 +39,14 @@ struct MatrixSnapshot {
   index_t cols = 0;
   offset_t nnz = 0;
   std::size_t bytes = 0;  // approximate resident footprint
-  TileMatrix<value_t> tiled;    // A, the SpMSpV/SpMSpM operand
-  TileMatrix<value_t> tiled_t;  // unit-weight tiled transpose (BFS expand)
-  bool has_transpose = false;   // square matrices only
-  // True when the tiled forms are zero-copy views into an mmapped v2 tile
-  // file (the TileMatrix `storage` member keeps the mapping alive for as
-  // long as any query holds the snapshot).
+  TileMatrix<value_t> tiled;  // A, the SpMSpV/SpMSpM operand
+  // BFS operand: the pattern of Aᵀ as a bitmask tile graph, so row u of A
+  // lists u's out-edges (bfs/tile_ms_bfs.hpp). Empty (n == 0) when the
+  // snapshot serves no BFS: non-square, or a mapped file without Aᵀ.
+  BitTileGraph<32> graph;
+  // True when `tiled` is a zero-copy view into an mmapped v2 tile file
+  // (the TileMatrix `storage` member keeps the mapping alive for as long
+  // as any query holds the snapshot).
   bool mapped = false;
 };
 
@@ -56,10 +59,9 @@ std::uint64_t fnv1a64(const char* data, std::size_t size);
 std::string content_key(const std::string& serialized_bytes);
 
 /// Validates `a` at the trust boundary (formats/validate.hpp) and builds
-/// the resident snapshot: tiled form, plus the unit-weight tiled transpose
-/// when the matrix is square (the BFS expand operand). `key` must be the
-/// content key of the bytes `a` was parsed from. Throws
-/// std::invalid_argument on validation failure.
+/// the resident snapshot: tiled form, plus the bitmask BFS graph when the
+/// matrix is square. `key` must be the content key of the bytes `a` was
+/// parsed from. Throws std::invalid_argument on validation failure.
 SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
                            std::string alias, std::string source,
                            const SpmspvConfig& cfg);
@@ -69,7 +71,9 @@ SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
 ///  - v2 tile files (TTLF, formats/tile_file.hpp): mmapped zero-copy; the
 ///    content key is the payload hash already stored in the 128-byte
 ///    header, so admission hashes nothing (the fast path the offline
-///    `tilespmspv_cli convert` step buys).
+///    `tilespmspv_cli convert` step buys). A file written with Aᵀ
+///    (`--transpose`) also gets the BFS graph, built at admission from the
+///    mapped Aᵀ pattern; without it the snapshot rejects BFS.
 ///  - TCSR / MatrixMarket: parsed and tiled; the content key is a chunked
 ///    stream-hash of the raw file bytes — the file is never materialized
 ///    twice in memory. Bytes hashed are charged to the `hash_bytes`

@@ -114,20 +114,26 @@ TEST_P(TileMsBfsBatch, EverySourceMatchesSerial) {
   for (int s = 0; s < k; ++s) {
     sources.push_back(static_cast<index_t>((s * 97) % 900));
   }
-  const TileMsBfsResult r = tile_ms_bfs(g, sources);
+  ThreadPool pool(4);
+  const MsBfsResult r = tile_ms_bfs(g, sources, 2, &pool);
+  const MsBfsResult plain = ms_bfs(g, sources, &pool);
+  ASSERT_EQ(r.levels.size(), static_cast<std::size_t>(k));
+  EXPECT_EQ(r.rounds, plain.rounds);
   for (int s = 0; s < k; ++s) {
     EXPECT_EQ(r.levels[s], serial_bfs(g, sources[s])) << "slot " << s;
+    EXPECT_EQ(r.levels[s], plain.levels[s]) << "slot " << s;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, TileMsBfsBatch,
-                         ::testing::Values(1, 5, 31, 64));
+                         ::testing::Values(1, 3, 5, 31, 33, 64));
 
 TEST(TileMsBfs, MatchesPlainMsBfs) {
   Csr<value_t> g = Csr<value_t>::from_coo(gen_grid2d(25, 25, 0.9, 822));
   std::vector<index_t> sources{0, 300, 624};
   const MsBfsResult plain = ms_bfs(g, sources);
-  const TileMsBfsResult tiled = tile_ms_bfs(g, sources);
+  const MsBfsResult tiled = tile_ms_bfs(g, sources);
+  EXPECT_EQ(tiled.rounds, plain.rounds);
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(tiled.levels[s], plain.levels[s]);
   }
@@ -136,9 +142,9 @@ TEST(TileMsBfs, MatchesPlainMsBfs) {
 TEST(TileMsBfs, ExtractionThresholdsAgree) {
   Csr<value_t> g = undirected(700, 0.004, 823);
   std::vector<index_t> sources{1, 350, 699};
-  const TileMsBfsResult base = tile_ms_bfs(g, sources, 0);
+  const MsBfsResult base = tile_ms_bfs(g, sources, 0);
   for (index_t extract : {2, 8, 1 << 20}) {
-    const TileMsBfsResult r = tile_ms_bfs(g, sources, extract);
+    const MsBfsResult r = tile_ms_bfs(g, sources, extract);
     for (int s = 0; s < 3; ++s) {
       EXPECT_EQ(r.levels[s], base.levels[s]) << "extract " << extract;
     }
@@ -148,7 +154,7 @@ TEST(TileMsBfs, ExtractionThresholdsAgree) {
 TEST(TileMsBfs, Nt64Path) {
   Csr<value_t> g = undirected(2000, 0.003, 824);
   const auto tiles = BitTileGraph<64>::from_csr(g, 2);
-  const TileMsBfsResult r = tile_ms_bfs(tiles, {0, 1000});
+  const MsBfsResult r = tile_ms_bfs(tiles, {0, 1000});
   EXPECT_EQ(r.levels[0], serial_bfs(g, 0));
   EXPECT_EQ(r.levels[1], serial_bfs(g, 1000));
 }
@@ -159,29 +165,16 @@ TEST(TileMsBfs, RejectsTooManySources) {
                std::invalid_argument);
 }
 
-class MsBfsTiledBatch : public ::testing::TestWithParam<int> {};
-
-TEST_P(MsBfsTiledBatch, MatchesPlainMsBfsExactly) {
-  const int k = GetParam();
-  Csr<value_t> g = undirected(800, 0.005, 831);
-  std::vector<index_t> sources;
-  for (int s = 0; s < k; ++s) {
-    sources.push_back(static_cast<index_t>((s * 113) % 800));
-  }
-  ThreadPool pool(4);
-  const MsBfsResult plain = ms_bfs(g, sources, &pool);
-  const MsBfsResult tiled = ms_bfs_tiled(g, sources, {}, &pool);
-  ASSERT_EQ(tiled.levels.size(), static_cast<std::size_t>(k));
-  EXPECT_EQ(tiled.rounds, plain.rounds);
-  for (int s = 0; s < k; ++s) {
-    EXPECT_EQ(tiled.levels[s], plain.levels[s]) << "slot " << s;
-  }
+TEST(TileMsBfs, EmptySourceList) {
+  Csr<value_t> g = undirected(64, 0.1, 833);
+  const MsBfsResult r = tile_ms_bfs(g, {});
+  EXPECT_TRUE(r.levels.empty());
+  EXPECT_EQ(r.rounds, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(BatchSizes, MsBfsTiledBatch,
-                         ::testing::Values(1, 3, 33, 64));
-
-TEST(MsBfsTiled, DirectedGraphAndConfigs) {
+TEST(TileMsBfs, DirectedGraphFollowsOutEdges) {
+  // Row u lists u's out-edges (ms_bfs's convention); the tile graph is
+  // built from the transpose, at every tile size.
   Coo<value_t> coo(180, 180);
   Prng rng(832);
   for (int e = 0; e < 700; ++e) {
@@ -194,24 +187,18 @@ TEST(MsBfsTiled, DirectedGraphAndConfigs) {
   Csr<value_t> g = Csr<value_t>::from_coo(coo);
   const std::vector<index_t> sources{0, 42, 179};
   const MsBfsResult plain = ms_bfs(g, sources);
-  for (index_t nt : {16, 64}) {
-    SpmspvConfig cfg;
-    cfg.nt = nt;
-    const MsBfsResult tiled = ms_bfs_tiled(g, sources, cfg);
-    EXPECT_EQ(tiled.rounds, plain.rounds) << "nt " << nt;
+  auto expect_matches = [&](const MsBfsResult& r, const char* what) {
+    EXPECT_EQ(r.rounds, plain.rounds) << what;
     for (int s = 0; s < 3; ++s) {
-      EXPECT_EQ(tiled.levels[s], plain.levels[s]) << "nt " << nt;
+      EXPECT_EQ(r.levels[s], plain.levels[s]) << what << " slot " << s;
     }
-  }
-}
-
-TEST(MsBfsTiled, RejectsTooManySourcesAndHandlesEmpty) {
-  Csr<value_t> g = undirected(64, 0.1, 833);
-  EXPECT_THROW(ms_bfs_tiled(g, std::vector<index_t>(65, 0)),
-               std::invalid_argument);
-  const MsBfsResult r = ms_bfs_tiled(g, {});
-  EXPECT_TRUE(r.levels.empty());
-  EXPECT_EQ(r.rounds, 0);
+  };
+  expect_matches(tile_ms_bfs(g, sources), "csr overload");
+  const Csr<value_t> gt = g.transpose();
+  expect_matches(tile_ms_bfs(BitTileGraph<16>::from_csr(gt, 2), sources),
+                 "nt 16");
+  expect_matches(tile_ms_bfs(BitTileGraph<64>::from_csr(gt, 2), sources),
+                 "nt 64");
 }
 
 TEST(MsBfs, SharedEdgeScansOnRmat) {

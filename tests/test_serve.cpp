@@ -168,6 +168,46 @@ TEST(MatrixStore, TileFileAdmissionBindsKeyToBytesAndReportsNnz) {
   std::remove(path.c_str());
 }
 
+TEST(MatrixStore, TileFileBfsUsesTransposePatternNotValues) {
+  // Edges 0->1, 0->2, 1->3 (+1) and 2->3 (-1): the two paths into 3 carry
+  // cancelling values, so summing them would lose vertex 3. Row u of A
+  // lists u's out-edges.
+  const std::string path = "/tmp/tilespmspv_serve_bfs.ttlf";
+  Coo<value_t> coo(4, 4);
+  coo.push(0, 1, 1.0);
+  coo.push(0, 2, 1.0);
+  coo.push(1, 3, 1.0);
+  coo.push(2, 3, -1.0);
+  const auto a = Csr<value_t>::from_coo(coo);
+  const auto m = TileMatrix<value_t>::from_csr(a, 16, 2);
+  const auto mt = TileMatrix<value_t>::from_csr(a.transpose(), 16, 2);
+  ThreadPool pool(2);
+  Batcher batcher({4, 0.0}, &pool);
+
+  write_tile_matrix_file_v2(path, m, &mt);
+  SnapshotPtr snap = load_snapshot_file(path, "t", {});
+  EXPECT_TRUE(snap->mapped);
+  const std::vector<index_t> levels = batcher.submit_bfs(snap, 0).get();
+  EXPECT_EQ(levels, (std::vector<index_t>{0, 1, 1, 2}));
+  EXPECT_EQ(levels, ms_bfs(a, {0}).levels[0]);
+
+  // Without Aᵀ in the file the snapshot stays zero-copy and rejects BFS;
+  // so does a non-square matrix written with its transpose.
+  write_tile_matrix_file_v2(path, m);
+  SnapshotPtr plain = load_snapshot_file(path, "p", {});
+  EXPECT_THROW(batcher.submit_bfs(plain, 0).get(), std::invalid_argument);
+  Coo<value_t> tall(6, 4);
+  tall.push(1, 3, 1.0);
+  tall.push(5, 0, 1.0);
+  const auto w = Csr<value_t>::from_coo(tall);
+  const auto wt = TileMatrix<value_t>::from_csr(w.transpose(), 16, 2);
+  write_tile_matrix_file_v2(path, TileMatrix<value_t>::from_csr(w, 16, 2),
+                            &wt);
+  SnapshotPtr rect = load_snapshot_file(path, "r", {});
+  EXPECT_THROW(batcher.submit_bfs(rect, 0).get(), std::invalid_argument);
+  std::remove(path.c_str());
+}
+
 TEST(Batcher, AccumulatesIntoMultiLaneFlushes) {
   ThreadPool pool(2);
   // Large k + long deadline: all queries land in one queue before the
@@ -248,20 +288,26 @@ TEST(ServeProtocol, BfsMatchesSerialLevels) {
   ServeConfig cfg;
   cfg.threads = 2;
   Server server(cfg);
-  ASSERT_TRUE(ok(parse(server.handle_line(
-      "{\"op\":\"load\",\"suite\":\"er-small\",\"alias\":\"g\"}"))));
-  const obs::JsonValue resp = parse(server.handle_line(
-      "{\"op\":\"bfs\",\"matrix\":\"g\",\"source\":3}"));
-  ASSERT_TRUE(ok(resp));
-  const obs::JsonValue* levels = resp.find("levels");
-  ASSERT_NE(levels, nullptr);
+  // Both patterns are unsymmetric (uniform random and power-law directed),
+  // so they pin the orientation: row u of A lists u's out-edges, as ms_bfs
+  // reads it.
+  for (const std::string name : {"er-small", "powerlaw-directed"}) {
+    ASSERT_TRUE(ok(parse(server.handle_line(
+        "{\"op\":\"load\",\"suite\":\"" + name + "\",\"alias\":\"" +
+        name + "\"}"))));
+    const obs::JsonValue resp = parse(server.handle_line(
+        "{\"op\":\"bfs\",\"matrix\":\"" + name + "\",\"source\":3}"));
+    ASSERT_TRUE(ok(resp)) << name;
+    const obs::JsonValue* levels = resp.find("levels");
+    ASSERT_NE(levels, nullptr) << name;
 
-  const Csr<value_t> a = Csr<value_t>::from_coo(suite_matrix("er-small"));
-  const MsBfsResult want = ms_bfs(a, {3});
-  ASSERT_EQ(levels->arr.size(), want.levels[0].size());
-  for (std::size_t v = 0; v < want.levels[0].size(); ++v) {
-    EXPECT_EQ(static_cast<index_t>(levels->arr[v].num), want.levels[0][v])
-        << "vertex " << v;
+    const Csr<value_t> a = Csr<value_t>::from_coo(suite_matrix(name));
+    const MsBfsResult want = ms_bfs(a, {3});
+    std::vector<index_t> got;
+    for (const obs::JsonValue& l : levels->arr) {
+      got.push_back(static_cast<index_t>(l.num));
+    }
+    EXPECT_EQ(got, want.levels[0]) << name;
   }
 }
 
