@@ -1,7 +1,9 @@
-// Binary (de)serialization of the CSR and tiled matrix formats, so the
-// tiling preprocessing (which Fig. 11 shows costing several traversals)
-// can be paid once and cached on disk — the standard operational pattern
-// for graph systems that traverse the same matrix across many runs.
+// Binary (de)serialization of the CSR format (the "TCSR" stream), plus the
+// magic-word probe that tells it apart from the tiled container. Tiled
+// matrices are cached in one format only: the zero-copy TTLF container
+// (formats/tile_file.hpp), written once by `tilespmspv_cli convert`, so the
+// tiling preprocessing (which Fig. 11 shows costing several traversals) is
+// paid once.
 //
 // Format: magic + version header, then length-prefixed raw arrays. The
 // files are host-endian (a cache format, not an interchange format;
@@ -10,41 +12,29 @@
 
 #include <istream>
 #include <ostream>
-#include <string>
 
 #include "formats/csr.hpp"
-#include "tile/tile_matrix.hpp"
 #include "util/types.hpp"
 
 namespace tilespmspv {
 
 /// What a serialized stream claims to contain, judged from its magic.
-/// kTileFile is the v2 mmap container (formats/tile_file.hpp), which has
-/// its own header/section validation path rather than the v1 readers.
-enum class SerializedKind { kUnknown, kCsr, kTileMatrix, kTileFile };
+/// kTileFile is the mmap container (formats/tile_file.hpp), which has its
+/// own header/section validation path.
+enum class SerializedKind { kUnknown, kCsr, kTileFile };
 
 /// Reads the leading magic word and classifies the stream (consumes the
 /// four bytes; reopen or rewind before loading). Used by the validate CLI
-/// to dispatch without trusting a file extension.
+/// and the serving daemon to dispatch without trusting a file extension.
 SerializedKind probe_serialized_kind(std::istream& in);
 
 /// Serializes a CSR matrix. Throws std::runtime_error on stream failure.
-/// The readers sit on the trust boundary: they bound every array length
-/// against the remaining stream size before allocating and re-check the
-/// structure's invariants (formats/validate.hpp) before returning, so a
-/// corrupt or adversarial file loads as a clear error, never as an
-/// out-of-bounds read in a kernel.
+/// The reader sits on the trust boundary: it bounds every array length
+/// against the remaining stream size before allocating and re-checks the
+/// CSR invariants (formats/validate.hpp) before returning, so a corrupt or
+/// adversarial file loads as a clear error, never as an out-of-bounds read
+/// in a kernel.
 void write_csr(std::ostream& out, const Csr<value_t>& a);
 Csr<value_t> read_csr(std::istream& in);
-
-/// Serializes a tiled matrix (including the extracted side part and its
-/// column/row indices, so no rebuild happens at load).
-void write_tile_matrix(std::ostream& out, const TileMatrix<value_t>& m);
-TileMatrix<value_t> read_tile_matrix(std::istream& in);
-
-/// File-path conveniences.
-void write_tile_matrix_file(const std::string& path,
-                            const TileMatrix<value_t>& m);
-TileMatrix<value_t> read_tile_matrix_file(const std::string& path);
 
 }  // namespace tilespmspv

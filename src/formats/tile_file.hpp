@@ -1,13 +1,9 @@
-// Zero-copy on-disk tile container (format version 2).
+// Zero-copy on-disk tile container (TTLF, format version 2) — the one
+// on-disk form of a tiled matrix or bitmask graph. Conversion happens once
+// offline (`tilespmspv_cli convert`) and startup is a single mmap: no array
+// goes through the heap and no derived index is rebuilt.
 //
-// The v1 stream format (formats/serialize.hpp) is a length-prefixed array
-// dump: loading it materializes every array through the heap and rebuilds
-// the derived indexes, so "load a cached tiling" still costs a large
-// fraction of converting from scratch. This container is the operational
-// replacement: conversion happens once offline (`tilespmspv_cli convert`)
-// and startup is a single mmap.
-//
-// Layout (host-endian — a cache format, like v1):
+// Layout (host-endian — a cache format, not an interchange format):
 //
 //   [TileFileHeader          128 B]
 //   [TileFileSection x N      32 B each]

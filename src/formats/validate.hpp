@@ -460,8 +460,8 @@ ValidationResult validate_tile_vector_block(const B& b) {
 /// range, local columns sorted, in range, and clipped to the matrix edge);
 /// extracted COO (in-range, row-major sorted, dims matching); derived
 /// side-index / run-list / strategy / chunk arrays agreeing with the
-/// payload whenever they are present (they are absent mid-deserialization
-/// and on hand-built test matrices).
+/// payload whenever they are present (hand-built test matrices may omit
+/// them).
 template <typename TM>
 ValidationResult validate_tile_matrix(const TM& m) {
   using std::to_string;

@@ -74,20 +74,4 @@ inline bool atomic_claim(T* target, T expected, T desired) {
                                     std::memory_order_relaxed);
 }
 
-/// Byte spinlock (acquire/release) over plain storage, for short per-tile
-/// critical sections where a vector of std::atomic_flag would need C++20
-/// initialization gymnastics. Pairs: spin_lock / spin_unlock.
-inline void spin_lock(unsigned char* lock) {
-  auto* a = reinterpret_cast<std::atomic<unsigned char>*>(lock);
-  unsigned char expected = 0;
-  while (!a->compare_exchange_weak(expected, 1, std::memory_order_acquire)) {
-    expected = 0;
-  }
-}
-
-inline void spin_unlock(unsigned char* lock) {
-  reinterpret_cast<std::atomic<unsigned char>*>(lock)->store(
-      0, std::memory_order_release);
-}
-
 }  // namespace tilespmspv

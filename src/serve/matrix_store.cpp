@@ -10,15 +10,8 @@
 #include "formats/validate.hpp"
 #include "gen/suite.hpp"
 #include "obs/counters.hpp"
-#include "parallel/atomics.hpp"
 
 namespace tilespmspv::serve {
-
-std::uint64_t fnv1a64(const char* data, std::size_t size) {
-  // Same primitive the v2 tile-file format uses for its payload hash
-  // (formats/tile_file.hpp), so the two key spaces agree on the function.
-  return tilespmspv::fnv1a64(data, size);
-}
 
 namespace {
 
@@ -43,22 +36,12 @@ std::uint64_t hash_stream(std::istream& in) {
     in.read(buf, sizeof(buf));
     const std::size_t got = static_cast<std::size_t>(in.gcount());
     if (got == 0) break;
-    h = tilespmspv::fnv1a64(buf, got, h);
+    h = fnv1a64(buf, got, h);
     total += got;
   }
   obs::counter_add(obs::Counter::kHashBytes, total);
   return h;
 }
-
-}  // namespace
-
-std::string content_key(const std::string& serialized_bytes) {
-  obs::counter_add(obs::Counter::kHashBytes, serialized_bytes.size());
-  return key_of_hash(
-      fnv1a64(serialized_bytes.data(), serialized_bytes.size()));
-}
-
-namespace {
 
 /// The BFS operand from the pattern of Aᵀ (values ignored). NT and the
 /// extraction threshold are fixed: the serve tile size (--nt) applies to
@@ -73,9 +56,11 @@ BitTileGraph<32> bfs_graph(const Csr<value_t>& a_transpose) {
 
 }  // namespace
 
-SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
-                           std::string alias, std::string source,
-                           const SpmspvConfig& cfg) {
+std::shared_ptr<MatrixSnapshot> build_snapshot(const Csr<value_t>& a,
+                                               std::string key,
+                                               std::string alias,
+                                               std::string source,
+                                               const SpmspvConfig& cfg) {
   // Trust boundary: the matrix may come from an arbitrary client upload.
   const ValidationResult vr = validate_csr(a);
   if (!vr.ok()) {
@@ -104,8 +89,8 @@ namespace {
 /// MatrixStore::put treats an equal key as "same content" and epoch-swaps
 /// the resident snapshot, so a forged header hash must not be allowed to
 /// replace another matrix's cache entry under its key.
-SnapshotPtr load_snapshot_tile_file(const std::string& path,
-                                    std::string alias) {
+std::shared_ptr<MatrixSnapshot> load_snapshot_tile_file(
+    const std::string& path, std::string alias) {
   MappedTileMatrix m =
       map_tile_matrix_file(path, /*verify_hash=*/true, /*deep_validate=*/true);
   // verify_hash re-read the payload sections (the whole file minus header,
@@ -135,21 +120,15 @@ SnapshotPtr load_snapshot_tile_file(const std::string& path,
 
 }  // namespace
 
-SnapshotPtr load_snapshot_file(const std::string& path, std::string alias,
-                               const SpmspvConfig& cfg) {
+std::shared_ptr<MatrixSnapshot> load_snapshot_file(const std::string& path,
+                                                   std::string alias,
+                                                   const SpmspvConfig& cfg) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open matrix file: " + path);
   const SerializedKind kind = probe_serialized_kind(in);
   if (kind == SerializedKind::kTileFile) {
     in.close();
     return load_snapshot_tile_file(path, std::move(alias));
-  }
-  if (kind == SerializedKind::kTileMatrix) {
-    throw std::runtime_error(
-        "v1 tiled-matrix files are not servable directly; convert to the v2 "
-        "tile format (tilespmspv_cli convert) or serve the CSR / "
-        "MatrixMarket source instead: " +
-        path);
   }
   // Content key: chunked stream-hash of the raw bytes (never materializes
   // the file), then rewind and parse straight from the stream.
@@ -168,20 +147,18 @@ SnapshotPtr load_snapshot_file(const std::string& path, std::string alias,
                         cfg);
 }
 
-SnapshotPtr load_snapshot_suite(const std::string& name, std::string alias,
-                                const SpmspvConfig& cfg) {
+std::shared_ptr<MatrixSnapshot> load_snapshot_suite(const std::string& name,
+                                                    std::string alias,
+                                                    const SpmspvConfig& cfg) {
   const Csr<value_t> a = Csr<value_t>::from_coo(suite_matrix(name));
-  // Content key: chained hash over the CSR header fields and arrays — the
-  // identity the serialized form pins down, without materializing the
-  // serialized bytes. The same suite matrix loaded under two aliases still
-  // shares one cache entry.
+  // Content key: FNV-1a chained over the dims, then row_ptr, col_idx and
+  // vals — the matrix's identity, hashed straight from the CSR arrays. The
+  // same suite matrix loaded under two aliases shares one cache entry.
   const std::int64_t dims[2] = {a.rows, a.cols};
-  std::uint64_t h = tilespmspv::fnv1a64(dims, sizeof(dims));
-  h = tilespmspv::fnv1a64(a.row_ptr.data(),
-                          a.row_ptr.size() * sizeof(offset_t), h);
-  h = tilespmspv::fnv1a64(a.col_idx.data(),
-                          a.col_idx.size() * sizeof(index_t), h);
-  h = tilespmspv::fnv1a64(a.vals.data(), a.vals.size() * sizeof(value_t), h);
+  std::uint64_t h = fnv1a64(dims, sizeof(dims));
+  h = fnv1a64(a.row_ptr.data(), a.row_ptr.size() * sizeof(offset_t), h);
+  h = fnv1a64(a.col_idx.data(), a.col_idx.size() * sizeof(index_t), h);
+  h = fnv1a64(a.vals.data(), a.vals.size() * sizeof(value_t), h);
   obs::counter_add(obs::Counter::kHashBytes,
                    sizeof(dims) + a.row_ptr.size() * sizeof(offset_t) +
                        a.col_idx.size() * sizeof(index_t) +
@@ -199,38 +176,31 @@ SnapshotPtr MatrixStore::get(const std::string& key_or_alias) {
   }
   ++hits_;
   e->tick = ++tick_;
-  spin_lock(&e->lock);
-  SnapshotPtr snap = e->snap;  // refcount bump: query owns this snapshot
-  spin_unlock(&e->lock);
-  return snap;
+  return e->snap;  // refcount bump: the query owns this snapshot
 }
 
-std::string MatrixStore::put(SnapshotPtr snap,
+std::string MatrixStore::put(std::shared_ptr<MatrixSnapshot> snap,
                              std::vector<std::string>* evicted) {
   std::string key = snap->key;
+  // The replaced snapshot is released after the lock: when no query holds
+  // it, its arrays are freed here, not while get() callers wait on mu_.
+  SnapshotPtr replaced;
   std::lock_guard<std::mutex> g(mu_);
   for (auto& [k, e] : entries_) {
     if (k != key) continue;
-    // Same content already resident: epoch-style swap. Readers that copied
-    // the old pointer finish on the old snapshot; the swap itself sits
-    // behind the entry spin lock so a concurrent get() never observes a
-    // half-written pointer.
-    auto next = std::make_shared<MatrixSnapshot>(*snap);
-    spin_lock(&e->lock);
-    next->epoch = e->snap->epoch + 1;
-    resident_bytes_ -= e->snap->bytes;
-    resident_bytes_ += next->bytes;
-    e->snap = std::move(next);
-    spin_unlock(&e->lock);
-    e->tick = ++tick_;
+    // Same content already resident: epoch-style swap. `snap` is not yet
+    // visible to any reader, so its epoch is stamped in place; readers
+    // that copied the old pointer finish on the old snapshot.
+    snap->epoch = e.snap->epoch + 1;
+    resident_bytes_ -= e.snap->bytes;
+    resident_bytes_ += snap->bytes;
+    replaced = std::exchange(e.snap, std::move(snap));
+    e.tick = ++tick_;
     ++swaps_;
     return key;
   }
-  auto e = std::make_unique<Entry>();
   resident_bytes_ += snap->bytes;
-  e->snap = std::move(snap);
-  e->tick = ++tick_;
-  entries_.emplace_back(key, std::move(e));
+  entries_.emplace_back(key, Entry{std::move(snap), ++tick_});
   evict_locked(key, evicted);
   return key;
 }
@@ -238,10 +208,10 @@ std::string MatrixStore::put(SnapshotPtr snap,
 bool MatrixStore::erase(const std::string& key_or_alias) {
   std::lock_guard<std::mutex> g(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->first != key_or_alias && it->second->snap->alias != key_or_alias) {
+    if (it->first != key_or_alias && it->second.snap->alias != key_or_alias) {
       continue;
     }
-    resident_bytes_ -= it->second->snap->bytes;
+    resident_bytes_ -= it->second.snap->bytes;
     entries_.erase(it);
     return true;
   }
@@ -253,7 +223,7 @@ std::vector<MatrixStore::Info> MatrixStore::list() const {
   std::vector<Info> out;
   out.reserve(entries_.size());
   for (const auto& [k, e] : entries_) {
-    const MatrixSnapshot& s = *e->snap;
+    const MatrixSnapshot& s = *e.snap;
     out.push_back(
         {k, s.alias, s.source, s.rows, s.cols, s.nnz, s.bytes, s.epoch});
   }
@@ -268,7 +238,7 @@ MatrixStore::Stats MatrixStore::stats() const {
 
 MatrixStore::Entry* MatrixStore::find_locked(const std::string& key_or_alias) {
   for (auto& [k, e] : entries_) {
-    if (k == key_or_alias || e->snap->alias == key_or_alias) return e.get();
+    if (k == key_or_alias || e.snap->alias == key_or_alias) return &e;
   }
   return nullptr;
 }
@@ -279,12 +249,12 @@ void MatrixStore::evict_locked(const std::string& keep_key,
     auto victim = entries_.end();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->first == keep_key) continue;
-      if (victim == entries_.end() || it->second->tick < victim->second->tick) {
+      if (victim == entries_.end() || it->second.tick < victim->second.tick) {
         victim = it;
       }
     }
     if (victim == entries_.end()) break;
-    resident_bytes_ -= victim->second->snap->bytes;
+    resident_bytes_ -= victim->second.snap->bytes;
     if (evicted != nullptr) evicted->push_back(victim->first);
     entries_.erase(victim);
     ++evictions_;

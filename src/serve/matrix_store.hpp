@@ -1,17 +1,17 @@
 // Matrix residency for the serving daemon (ROADMAP item 2): converted
 // TileMatrix instances stay resident in an LRU cache keyed by a content
-// hash of their serialized bytes, so repeated queries against the same
-// matrix never pay conversion twice and identical uploads under different
-// names share one entry.
+// hash of the matrix, so repeated queries against the same matrix never
+// pay conversion twice and identical uploads under different names share
+// one entry.
 //
 // Reload discipline (epoch-style snapshots): each cache entry holds a
 // `std::shared_ptr<const MatrixSnapshot>`; a reload builds the new
-// snapshot off to the side and swaps the pointer behind a per-entry spin
-// lock from parallel/atomics.hpp, bumping the entry's epoch. Queries copy
-// the pointer at admission, so in-flight work finishes on the snapshot it
-// started with — the shared_ptr refcount keeps an evicted or replaced
-// matrix alive until its last query returns, and readers never block on a
-// rebuild.
+// snapshot off to the side, and `put` stamps its epoch and swaps the
+// entry's pointer under the store mutex — the one lock, held by every read
+// and write of an entry, and never across a rebuild or a copy. Queries
+// copy the pointer at admission, so in-flight work finishes on the
+// snapshot it started with — the shared_ptr refcount keeps an evicted or
+// replaced matrix alive until its last query returns.
 #pragma once
 
 #include <cstdint>
@@ -52,19 +52,15 @@ struct MatrixSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const MatrixSnapshot>;
 
-/// FNV-1a 64-bit over a byte range — the content-hash primitive.
-std::uint64_t fnv1a64(const char* data, std::size_t size);
-
-/// 16-hex-char content key of a serialized matrix byte stream.
-std::string content_key(const std::string& serialized_bytes);
-
 /// Validates `a` at the trust boundary (formats/validate.hpp) and builds
 /// the resident snapshot: tiled form, plus the bitmask BFS graph when the
 /// matrix is square. `key` must be the content key of the bytes `a` was
 /// parsed from. Throws std::invalid_argument on validation failure.
-SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
-                           std::string alias, std::string source,
-                           const SpmspvConfig& cfg);
+std::shared_ptr<MatrixSnapshot> build_snapshot(const Csr<value_t>& a,
+                                               std::string key,
+                                               std::string alias,
+                                               std::string source,
+                                               const SpmspvConfig& cfg);
 
 /// Loads + validates a serialized matrix file, classified by magic.
 ///
@@ -79,15 +75,18 @@ SnapshotPtr build_snapshot(const Csr<value_t>& a, std::string key,
 ///    twice in memory. Bytes hashed are charged to the `hash_bytes`
 ///    counter on both paths.
 ///
-/// Throws on I/O or validation failure.
-SnapshotPtr load_snapshot_file(const std::string& path, std::string alias,
-                               const SpmspvConfig& cfg);
+/// Any other file goes to the Matrix Market parser, which rejects what it
+/// cannot parse. Throws on I/O or validation failure.
+std::shared_ptr<MatrixSnapshot> load_snapshot_file(const std::string& path,
+                                                   std::string alias,
+                                                   const SpmspvConfig& cfg);
 
 /// Builds a snapshot from a generator-suite matrix (gen/suite.hpp); the
-/// content key hashes the canonical serialized CSR bytes, so the same
-/// suite matrix loaded twice shares one entry.
-SnapshotPtr load_snapshot_suite(const std::string& name, std::string alias,
-                                const SpmspvConfig& cfg);
+/// content key is a chained hash over the dims and the CSR arrays, so the
+/// same suite matrix loaded twice shares one entry.
+std::shared_ptr<MatrixSnapshot> load_snapshot_suite(const std::string& name,
+                                                    std::string alias,
+                                                    const SpmspvConfig& cfg);
 
 /// LRU cache of snapshots with byte-budget eviction and epoch-swapping
 /// reload. Thread-safe; see the file comment for the swap discipline.
@@ -103,12 +102,15 @@ class MatrixStore {
   /// when absent.
   SnapshotPtr get(const std::string& key_or_alias);
 
-  /// Inserts `snap`, or — when its key is already resident — swaps the
-  /// existing entry's pointer (epoch := old epoch + 1). Evicts least-
-  /// recently-used entries until the byte budget holds (the incoming entry
-  /// itself is never evicted). Returns the content key; evicted keys are
-  /// appended to `evicted` when non-null.
-  std::string put(SnapshotPtr snap, std::vector<std::string>* evicted);
+  /// Inserts `snap`, or — when its key is already resident — swaps it in
+  /// for the existing entry's snapshot and sets `snap->epoch` to the old
+  /// epoch + 1. Precondition: no other thread holds `snap` yet (the store
+  /// stamps the epoch in place, then publishes this same pointer). Evicts
+  /// least-recently-used entries until the byte budget holds (the incoming
+  /// entry itself is never evicted). Returns the content key; evicted keys
+  /// are appended to `evicted` when non-null.
+  std::string put(std::shared_ptr<MatrixSnapshot> snap,
+                  std::vector<std::string>* evicted);
 
   /// Drops the entry (by key or alias). In-flight queries holding the
   /// snapshot finish normally. Returns false when absent.
@@ -138,18 +140,11 @@ class MatrixStore {
 
  private:
   struct Entry {
-    SnapshotPtr snap;  // swapped behind `lock`; copied by readers
-    // Spin byte (parallel/atomics.hpp) guarding the pointer swap itself:
-    // the map mutex serializes structure changes, the entry lock marks the
-    // snapshot-swap critical section. lint:allow note: plain byte, the
-    // helpers do the atomics.
-    mutable unsigned char lock = 0;
+    SnapshotPtr snap;  // swapped by put(); copied by readers
     std::uint64_t tick = 0;  // LRU recency
   };
 
-  // unique_ptr keeps Entry addresses stable across rehashes, so the spin
-  // byte's address never moves under a waiter.
-  using Map = std::vector<std::pair<std::string, std::unique_ptr<Entry>>>;
+  using Map = std::vector<std::pair<std::string, Entry>>;
 
   Entry* find_locked(const std::string& key_or_alias);
   void evict_locked(const std::string& keep_key,

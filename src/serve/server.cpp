@@ -169,13 +169,12 @@ std::string Server::do_load(const obs::JsonValue& req) {
   if ((path.empty()) == (suite.empty())) {
     throw std::invalid_argument("load needs exactly one of 'path'/'suite'");
   }
-  SnapshotPtr snap = path.empty()
-                         ? load_snapshot_suite(suite, alias, cfg_.spmspv)
-                         : load_snapshot_file(path, alias, cfg_.spmspv);
+  const std::shared_ptr<MatrixSnapshot> snap =
+      path.empty() ? load_snapshot_suite(suite, alias, cfg_.spmspv)
+                   : load_snapshot_file(path, alias, cfg_.spmspv);
   std::vector<std::string> evicted;
+  // put() stamps the epoch on this same snapshot (bumped on a reload).
   const std::string key = store_.put(snap, &evicted);
-  // Re-read the entry: a reload swapped in a copy with a bumped epoch.
-  SnapshotPtr live = store_.get(key);
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
@@ -187,7 +186,7 @@ std::string Server::do_load(const obs::JsonValue& req) {
   w.key("cols").value(static_cast<std::int64_t>(snap->cols));
   w.key("nnz").value(static_cast<std::int64_t>(snap->nnz));
   w.key("bytes").value(static_cast<std::uint64_t>(snap->bytes));
-  w.key("epoch").value(live ? live->epoch : snap->epoch);
+  w.key("epoch").value(snap->epoch);
   w.key("evicted").begin_array();
   for (const auto& k : evicted) w.value(k);
   w.end_array();

@@ -218,8 +218,8 @@ struct TileMatrix {
   }
 
   /// (Re)builds the per-tile non-empty-row run lists from intra_row_ptr
-  /// and local_col. from_csr and the deserializer call this; re-call after
-  /// mutating the intra-tile structure manually in tests.
+  /// and local_col (called by from_csr; a mapped TTLF file stores them).
+  /// Re-call after mutating the intra-tile structure manually in tests.
   void build_row_runs() {
     const index_t ntiles = num_tiles();
     run_ptr.assign(ntiles + 1, 0);
@@ -265,8 +265,8 @@ struct TileMatrix {
   }
 
   /// (Re)builds the work-balanced scheduling chunks from the current tile
-  /// layout. from_csr and the deserializer call this; re-call after
-  /// mutating the tile structure manually in tests.
+  /// layout (called by from_csr; a mapped TTLF file stores them). Re-call
+  /// after mutating the tile structure manually in tests.
   void build_row_chunks() {
     row_chunk_ptr =
         tilespmspv::build_row_chunks(tile_rows, tile_row_ptr, tile_nnz_ptr);

@@ -1,21 +1,33 @@
-// Tests for binary serialization of CSR and tiled matrices: byte-exact
-// round trips, derived-index reconstruction, and rejection of corrupt or
-// mismatched streams.
+// Tests for the binary CSR stream: byte-exact round trips, rejection of
+// corrupt or mismatched streams, and magic-word classification.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
-#include "core/spmspv_reference.hpp"
-#include "core/tile_spmspv.hpp"
 #include "formats/serialize.hpp"
+#include "formats/tile_file.hpp"
 #include "gen/erdos_renyi.hpp"
-#include "gen/vector_gen.hpp"
+#include "tile/tile_matrix.hpp"
 
 namespace tilespmspv {
 namespace {
+
+/// The bytes of a TTLF tile file holding `a` tiled at nt 16.
+std::string tile_file_bytes(const Csr<value_t>& a) {
+  const std::string path = "/tmp/tilespmspv_serialize_test.ttlf";
+  write_tile_matrix_file_v2(path, TileMatrix<value_t>::from_csr(a, 16, 2));
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
 
 TEST(SerializeCsr, RoundTripExact) {
   Csr<value_t> a =
@@ -40,47 +52,12 @@ TEST(SerializeCsr, EmptyMatrix) {
   EXPECT_EQ(b.nnz(), 0);
 }
 
-TEST(SerializeTile, RoundTripPreservesMultiplySemantics) {
-  Csr<value_t> a =
-      Csr<value_t>::from_coo(gen_erdos_renyi(500, 500, 0.005, 1502));
-  TileMatrix<value_t> m = TileMatrix<value_t>::from_csr(a, 16, 2);
-  std::stringstream ss;
-  write_tile_matrix(ss, m);
-  TileMatrix<value_t> loaded = read_tile_matrix(ss);
-
-  EXPECT_EQ(loaded.num_tiles(), m.num_tiles());
-  EXPECT_EQ(loaded.extracted.nnz(), m.extracted.nnz());
-  // Derived side indices were rebuilt, not stored: verify functionally.
-  EXPECT_EQ(loaded.side_col_ptr, m.side_col_ptr);
-  EXPECT_EQ(loaded.side_row_ptr, m.side_row_ptr);
-
-  SparseVec<value_t> x = gen_sparse_vector(500, 0.02, 5);
-  TileVector<value_t> xt = TileVector<value_t>::from_sparse(x, 16);
-  SparseVec<value_t> y1 = tile_spmspv(m, xt);
-  SparseVec<value_t> y2 = tile_spmspv(loaded, xt);
-  EXPECT_EQ(y1.idx, y2.idx);
-  EXPECT_EQ(y1.vals, y2.vals);
-}
-
-TEST(SerializeTile, FileRoundTrip) {
-  Csr<value_t> a =
-      Csr<value_t>::from_coo(gen_erdos_renyi(100, 100, 0.05, 1503));
-  TileMatrix<value_t> m = TileMatrix<value_t>::from_csr(a, 32, 1);
-  const std::string path = "/tmp/tilespmspv_serialize_test.bin";
-  write_tile_matrix_file(path, m);
-  TileMatrix<value_t> loaded = read_tile_matrix_file(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.nt, 32);
-  EXPECT_EQ(loaded.to_coo().vals, m.to_coo().vals);
-}
-
 TEST(Serialize, RejectsWrongMagic) {
   Csr<value_t> a =
       Csr<value_t>::from_coo(gen_erdos_renyi(50, 50, 0.1, 1504));
-  std::stringstream ss;
-  write_csr(ss, a);
-  // Reading a CSR stream as a tiled matrix must fail cleanly.
-  EXPECT_THROW(read_tile_matrix(ss), std::runtime_error);
+  // Reading a TTLF tile file as a CSR stream must fail cleanly.
+  std::stringstream ss(tile_file_bytes(a));
+  EXPECT_THROW(read_csr(ss), std::runtime_error);
 }
 
 TEST(Serialize, RejectsTruncatedStream) {
@@ -94,43 +71,8 @@ TEST(Serialize, RejectsTruncatedStream) {
 }
 
 TEST(Serialize, RejectsGarbage) {
-  std::stringstream ss("not a tile matrix at all");
-  EXPECT_THROW(read_tile_matrix(ss), std::runtime_error);
-}
-
-TEST(SerializeTile, MissingFileThrows) {
-  EXPECT_THROW(read_tile_matrix_file("/tmp/does-not-exist-tilespmspv.bin"),
-               std::runtime_error);
-}
-
-// Builds a matrix whose last tile column holds only isolated entries, so
-// extraction reliably produces a non-empty side COO at small thresholds.
-Coo<value_t> matrix_with_sparse_fringe() {
-  Coo<value_t> coo = gen_erdos_renyi(150, 120, 0.03, 1506);
-  coo.cols = 140;
-  coo.push(7, 130, 1.0);
-  coo.push(64, 125, -0.5);
-  coo.push(101, 139, 2.0);
-  coo.push(149, 121, 3.0);
-  return coo;
-}
-
-TEST(SerializeTile, ExtractedCooRoundTripAcrossTileSizes) {
-  const Csr<value_t> a = Csr<value_t>::from_coo(matrix_with_sparse_fringe());
-  for (const index_t nt : {16, 32, 64}) {
-    TileMatrix<value_t> m = TileMatrix<value_t>::from_csr(a, nt, 2);
-    ASSERT_GT(m.extracted.nnz(), 0) << "nt=" << nt;
-    std::stringstream ss;
-    write_tile_matrix(ss, m);
-    TileMatrix<value_t> loaded = read_tile_matrix(ss);
-    EXPECT_EQ(loaded.extracted.row_idx, m.extracted.row_idx) << "nt=" << nt;
-    EXPECT_EQ(loaded.extracted.col_idx, m.extracted.col_idx) << "nt=" << nt;
-    EXPECT_EQ(loaded.extracted.vals, m.extracted.vals) << "nt=" << nt;
-    // The round trip must be a byte-level fixed point too.
-    std::stringstream ss2;
-    write_tile_matrix(ss2, loaded);
-    EXPECT_EQ(ss.str(), ss2.str()) << "nt=" << nt;
-  }
+  std::stringstream ss("not a csr matrix at all");
+  EXPECT_THROW(read_csr(ss), std::runtime_error);
 }
 
 /// Returns `bytes` with the little-endian i64 at `offset` replaced by `v`.
@@ -173,28 +115,13 @@ TEST(Serialize, RejectsOutOfRangeDims) {
   }
 }
 
-TEST(Serialize, RejectsImplausibleTileDims) {
-  Csr<value_t> a = Csr<value_t>::from_coo(gen_erdos_renyi(40, 40, 0.1, 1509));
-  TileMatrix<value_t> m = TileMatrix<value_t>::from_csr(a, 16, 0);
-  std::stringstream ss;
-  write_tile_matrix(ss, m);
-  const std::string base = ss.str();
-  // In-range dims (fit index_t) that are wildly larger than the stream
-  // could back: the reader must refuse before the Θ(rows + cols) derived
-  // indices are allocated.
-  std::stringstream bad(
-      patch_i64(base, 16, std::numeric_limits<index_t>::max()));
-  EXPECT_THROW(read_tile_matrix(bad), std::runtime_error);
-}
-
 TEST(Serialize, ProbeIdentifiesKinds) {
   Csr<value_t> a = Csr<value_t>::from_coo(gen_erdos_renyi(30, 30, 0.1, 1510));
   std::stringstream cs;
   write_csr(cs, a);
   EXPECT_EQ(probe_serialized_kind(cs), SerializedKind::kCsr);
-  std::stringstream ts;
-  write_tile_matrix(ts, TileMatrix<value_t>::from_csr(a, 16, 0));
-  EXPECT_EQ(probe_serialized_kind(ts), SerializedKind::kTileMatrix);
+  std::stringstream ts(tile_file_bytes(a));
+  EXPECT_EQ(probe_serialized_kind(ts), SerializedKind::kTileFile);
   std::stringstream junk("%%MatrixMarket matrix coordinate real general\n");
   EXPECT_EQ(probe_serialized_kind(junk), SerializedKind::kUnknown);
   std::stringstream empty;

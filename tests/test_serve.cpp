@@ -32,8 +32,19 @@ using namespace tilespmspv::serve;
 
 namespace {
 
-SnapshotPtr suite_snap(const std::string& name, const std::string& alias) {
+std::shared_ptr<MatrixSnapshot> suite_snap(const std::string& name,
+                                           const std::string& alias) {
   return load_snapshot_suite(name, alias, {});
+}
+
+/// Writes the head of a file in the retired v1 tiled stream: the host-
+/// endian magic word 0x54544C4D ("TTLM"), version 1, then rows/cols/nt.
+void write_v1_tile_stream(const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::uint32_t head[2] = {0x54544C4D, 1};
+  const std::int64_t dims[3] = {4, 4, 16};
+  out.write(reinterpret_cast<const char*>(head), sizeof(head));
+  out.write(reinterpret_cast<const char*>(dims), sizeof(dims));
 }
 
 obs::JsonValue parse(const std::string& line) {
@@ -82,8 +93,7 @@ SparseVec<value_t> decode_vector(const obs::JsonValue& v) {
 
 TEST(MatrixStore, ContentKeyIsStableAndAliasResolves) {
   MatrixStore store(1u << 30);
-  SnapshotPtr a = suite_snap("er-small", "front");
-  const std::string key = store.put(a, nullptr);
+  const std::string key = store.put(suite_snap("er-small", "front"), nullptr);
   // Same suite matrix under another alias hashes to the same content key.
   SnapshotPtr b = suite_snap("er-small", "other");
   EXPECT_EQ(b->key, key);
@@ -113,9 +123,23 @@ TEST(MatrixStore, ReloadSwapsEpochAndKeepsOldSnapshotAlive) {
   EXPECT_EQ(before->rows, after->rows);
 }
 
+TEST(MatrixStore, ReloadPublishesTheSnapshotPassedIn) {
+  // A swap stamps the epoch on the incoming snapshot and publishes that
+  // same pointer: no copy of the matrix is made under the store lock.
+  MatrixStore store(1u << 30);
+  const std::string key = store.put(suite_snap("er-small", "m"), nullptr);
+  const std::shared_ptr<MatrixSnapshot> next = suite_snap("er-small", "m");
+  store.put(next, nullptr);
+  const SnapshotPtr live = store.get(key);
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(live.get(), next.get());
+  EXPECT_EQ(live->epoch, 1u);
+  EXPECT_EQ(store.stats().resident_bytes, next->bytes);
+}
+
 TEST(MatrixStore, LruEvictsColdestWithinBudget) {
-  SnapshotPtr a = suite_snap("er-small", "a");
-  SnapshotPtr b = suite_snap("rmat-small", "b");
+  const auto a = suite_snap("er-small", "a");
+  const auto b = suite_snap("rmat-small", "b");
   // Budget fits either matrix alone but not both.
   MatrixStore store(a->bytes + b->bytes - 1);
   store.put(a, nullptr);
@@ -205,6 +229,28 @@ TEST(MatrixStore, TileFileBfsUsesTransposePatternNotValues) {
                             &wt);
   SnapshotPtr rect = load_snapshot_file(path, "r", {});
   EXPECT_THROW(batcher.submit_bfs(rect, 0).get(), std::invalid_argument);
+  std::remove(path.c_str());
+}
+
+TEST(MatrixStore, V1TileStreamIsRejectedAndStoreUnchanged) {
+  // The v1 tiled stream has no reader: its magic word is not a known
+  // kind, so the Matrix Market parser gets the bytes and rejects them.
+  const std::string path = "/tmp/tilespmspv_serve_v1.bin";
+  write_v1_tile_stream(path);
+  EXPECT_THROW(load_snapshot_file(path, "old", {}), std::runtime_error);
+
+  // Over the protocol: a reload onto a resident alias fails and leaves the
+  // resident snapshot and its epoch in place.
+  Server server({});
+  ASSERT_TRUE(ok(parse(server.handle_line(
+      "{\"op\":\"load\",\"suite\":\"er-small\",\"alias\":\"m\"}"))));
+  EXPECT_FALSE(ok(parse(server.handle_line(
+      "{\"op\":\"reload\",\"path\":\"" + path + "\",\"alias\":\"m\"}"))));
+  const obs::JsonValue listed = parse(server.handle_line("{\"op\":\"list\"}"));
+  ASSERT_EQ(listed.find("matrices")->arr.size(), 1u);
+  EXPECT_EQ(listed.find("matrices")->arr[0].number_or("epoch", -1.0), 0.0);
+  EXPECT_EQ(listed.find("matrices")->arr[0].string_or("source", ""),
+            "suite:er-small");
   std::remove(path.c_str());
 }
 
@@ -368,6 +414,28 @@ TEST(ServeProtocol, StatsExposeBatchAndStoreCounters) {
   EXPECT_GE(m->number_or("serve.batch.max_flush_k", -1.0), 2.0);
   EXPECT_EQ(m->number_or("serve.store.entries", -1.0), 1.0);
   EXPECT_GE(m->number_or("serve.op.spmspv.p95_ms", -1.0), 0.0);
+}
+
+TEST(ServeProtocol, LoadAndReloadCountNoStoreHits) {
+  // load/reload answer with the epoch of the snapshot they stored; they do
+  // not look the matrix up again, so serve.store.hits counts queries only.
+  Server server({});
+  const obs::JsonValue loaded = parse(server.handle_line(
+      "{\"op\":\"load\",\"suite\":\"er-small\",\"alias\":\"m\"}"));
+  ASSERT_TRUE(ok(loaded));
+  EXPECT_EQ(loaded.number_or("epoch", -1.0), 0.0);
+  const auto store_hits = [&] {
+    const obs::JsonValue stats =
+        parse(server.handle_line("{\"op\":\"stats\"}"));
+    const obs::JsonValue* m = stats.find("metrics");
+    return m == nullptr ? -1.0 : m->number_or("serve.store.hits", -1.0);
+  };
+  EXPECT_EQ(store_hits(), 0.0);
+  const obs::JsonValue reloaded = parse(server.handle_line(
+      "{\"op\":\"reload\",\"suite\":\"er-small\",\"alias\":\"m\"}"));
+  ASSERT_TRUE(ok(reloaded));
+  EXPECT_EQ(reloaded.number_or("epoch", -1.0), 1.0);
+  EXPECT_EQ(store_hits(), 0.0);
 }
 
 TEST(ServeProtocol, SnapshotSwapMidTrafficLosesNoQueries) {

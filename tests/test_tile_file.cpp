@@ -5,6 +5,7 @@
 // must be bit-identical between the owned and the mapped structure).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -70,47 +71,77 @@ TEST(TileFile, HeaderAndProbe) {
   EXPECT_GT(h.file_bytes, sizeof(TileFileHeader));
 }
 
+// Builds a matrix whose last tile column holds only isolated entries, so
+// extraction reliably produces a non-empty side COO at every tile size.
+Coo<value_t> matrix_with_sparse_fringe() {
+  Coo<value_t> coo = gen_erdos_renyi(150, 120, 0.03, 1506);
+  coo.cols = 140;
+  coo.push(7, 130, 1.0);
+  coo.push(64, 125, -0.5);
+  coo.push(101, 139, 2.0);
+  coo.push(149, 121, 3.0);
+  return coo;
+}
+
 TEST(TileFile, MatrixRoundTripAcrossTileSizes) {
-  const auto a = Csr<value_t>::from_coo(gen_erdos_renyi(500, 460, 0.02, 42));
-  const auto at = a.transpose();
-  const SparseVec<value_t> x = gen_sparse_vector(a.cols, 0.05, 7);
-  for (const index_t nt : {index_t{16}, index_t{32}, index_t{64}}) {
-    const FileGuard f{tmp_path("roundtrip")};
-    const auto m = TileMatrix<value_t>::from_csr(a, nt, 2);
-    const auto mt = TileMatrix<value_t>::from_csr(at, nt, 2);
-    write_tile_matrix_file_v2(f.path, m, &mt);
-    // Strict load: payload hash verified, structural validators run.
-    MappedTileMatrix mm = map_tile_matrix_file(f.path, /*verify_hash=*/true,
-                                               /*deep_validate=*/true);
-    ASSERT_TRUE(mm.has_transpose) << "nt " << nt;
-    EXPECT_EQ(mm.tiled.placed, Placement::kMapped);
-    EXPECT_TRUE(mm.tiled.vals.is_view());
-    expect_tile_matrix_eq(m, mm.tiled);
-    expect_tile_matrix_eq(mt, mm.tiled_t);
+  // The ER input has no extracted entries at nt 64; the sparse-fringe input
+  // has some at every tile size, so the side COO round-trips too.
+  const Csr<value_t> inputs[] = {
+      Csr<value_t>::from_coo(gen_erdos_renyi(500, 460, 0.02, 42)),
+      Csr<value_t>::from_coo(matrix_with_sparse_fringe())};
+  for (const Csr<value_t>& a : inputs) {
+    const bool fringe = &a == &inputs[1];
+    SCOPED_TRACE(fringe ? "sparse-fringe input" : "erdos-renyi input");
+    const auto at = a.transpose();
+    const SparseVec<value_t> x = gen_sparse_vector(a.cols, 0.05, 7);
+    for (const index_t nt : {index_t{16}, index_t{32}, index_t{64}}) {
+      const FileGuard f{tmp_path("roundtrip")};
+      const auto m = TileMatrix<value_t>::from_csr(a, nt, 2);
+      const auto mt = TileMatrix<value_t>::from_csr(at, nt, 2);
+      if (fringe) {
+        ASSERT_GT(m.extracted.nnz(), 0) << "nt " << nt;
+      }
+      const std::uint64_t hash = write_tile_matrix_file_v2(f.path, m, &mt);
+      // Strict load: payload hash verified, structural validators run.
+      MappedTileMatrix mm = map_tile_matrix_file(f.path, /*verify_hash=*/true,
+                                                 /*deep_validate=*/true);
+      ASSERT_TRUE(mm.has_transpose) << "nt " << nt;
+      EXPECT_EQ(mm.tiled.placed, Placement::kMapped);
+      EXPECT_TRUE(mm.tiled.vals.is_view());
+      expect_tile_matrix_eq(m, mm.tiled);
+      expect_tile_matrix_eq(mt, mm.tiled_t);
 
-    // Differential: the same multiply through the owned and the mapped
-    // structure must be bit-identical (same kernel on both sides).
-    SpmspvConfig cfg;
-    cfg.nt = nt;
-    cfg.kernel = SpmspvKernel::kCsr;
-    SpmspvOperator<value_t> ref(a, cfg);
-    SpmspvOperator<value_t> map_op(std::move(mm.tiled), std::move(mm.tiled_t),
-                                   cfg);
-    const SparseVec<value_t> y_ref = ref.multiply(x);
-    const SparseVec<value_t> y_map = map_op.multiply(x);
-    EXPECT_EQ(y_ref.idx, y_map.idx) << "nt " << nt;
-    EXPECT_EQ(y_ref.vals, y_map.vals) << "nt " << nt;
+      // Rewriting the mapped matrix must reproduce the payload exactly: the
+      // file is a fixed point of write(map(file)).
+      const FileGuard rewrite{tmp_path("rewrite")};
+      EXPECT_EQ(write_tile_matrix_file_v2(rewrite.path, mm.tiled, &mm.tiled_t),
+                hash)
+          << "nt " << nt;
 
-    // The CSC (vector-driven) kernel reads the mapped transpose.
-    cfg.kernel = SpmspvKernel::kCsc;
-    SpmspvOperator<value_t> ref_csc(a, cfg);
-    MappedTileMatrix mm2 = map_tile_matrix_file(f.path);
-    SpmspvOperator<value_t> map_csc(std::move(mm2.tiled),
-                                    std::move(mm2.tiled_t), cfg);
-    const SparseVec<value_t> z_ref = ref_csc.multiply(x);
-    const SparseVec<value_t> z_map = map_csc.multiply(x);
-    EXPECT_EQ(z_ref.idx, z_map.idx) << "nt " << nt;
-    EXPECT_EQ(z_ref.vals, z_map.vals) << "nt " << nt;
+      // Differential: the same multiply through the owned and the mapped
+      // structure must be bit-identical (same kernel on both sides).
+      SpmspvConfig cfg;
+      cfg.nt = nt;
+      cfg.kernel = SpmspvKernel::kCsr;
+      SpmspvOperator<value_t> ref(a, cfg);
+      SpmspvOperator<value_t> map_op(std::move(mm.tiled),
+                                     std::move(mm.tiled_t), cfg);
+      const SparseVec<value_t> y_ref = ref.multiply(x);
+      const SparseVec<value_t> y_map = map_op.multiply(x);
+      EXPECT_EQ(y_ref.idx, y_map.idx) << "nt " << nt;
+      EXPECT_EQ(y_ref.vals, y_map.vals) << "nt " << nt;
+
+      // The CSC (vector-driven) kernel reads the mapped transpose.
+      cfg.kernel = SpmspvKernel::kCsc;
+      SpmspvOperator<value_t> ref_csc(a, cfg);
+      MappedTileMatrix mm2 = map_tile_matrix_file(f.path);
+      SpmspvOperator<value_t> map_csc(std::move(mm2.tiled),
+                                      std::move(mm2.tiled_t), cfg);
+      const SparseVec<value_t> z_ref = ref_csc.multiply(x);
+      const SparseVec<value_t> z_map = map_csc.multiply(x);
+      EXPECT_EQ(z_ref.idx, z_map.idx) << "nt " << nt;
+      EXPECT_EQ(z_ref.vals, z_map.vals) << "nt " << nt;
+    }
   }
 }
 

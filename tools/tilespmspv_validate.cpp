@@ -3,7 +3,7 @@
 //
 // Two modes:
 //   tilespmspv_validate FILE...        classify each file by magic (TCSR /
-//                                      TTLM / TTLF v2 tile file / Matrix
+//                                      TTLF v2 tile file / Matrix
 //                                      Market), load it through the
 //                                      validating reader, and report
 //                                      OK or INVALID with the violated
@@ -48,8 +48,7 @@ int usage() {
       "usage: tilespmspv_validate FILE...\n"
       "       tilespmspv_validate --suite NAME [--nt N] [--extract N]\n"
       "\n"
-      "Validates serialized matrices (TCSR/TTLM/TTLF binary or Matrix\n"
-      "Market)\n"
+      "Validates serialized matrices (TCSR/TTLF binary or Matrix Market)\n"
       "against the library's format invariants, or self-checks every\n"
       "structure built from a generator-suite matrix.\n"
       "Exit codes: 0 valid, 1 invalid input, 2 usage error.\n";
@@ -73,13 +72,6 @@ bool check_file(const std::string& path) {
         const auto a = read_csr(in);
         std::cout << path << ": OK (csr " << a.rows << "x" << a.cols
                   << ", nnz " << a.nnz() << ")\n";
-        return true;
-      }
-      case SerializedKind::kTileMatrix: {
-        const auto m = read_tile_matrix_file(path);
-        std::cout << path << ": OK (tile-matrix " << m.rows << "x" << m.cols
-                  << ", nt " << m.nt << ", tiles " << m.num_tiles()
-                  << ", nnz " << m.total_nnz() << ")\n";
         return true;
       }
       case SerializedKind::kTileFile: {
