@@ -3,8 +3,12 @@
 // input vector as dense: every non-empty *matrix* tile is computed, with no
 // x_ptr lookup to skip empty vector tiles. The gap between this and
 // tile_spmspv is exactly the contribution of the tiled-vector indexing.
+// The extracted side part, if any, is finished row by row in the task
+// that owns the tile row (TileSpMV itself keeps every nonzero in tiles),
+// so the result does not depend on the pool size or the schedule.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "formats/sparse_vector.hpp"
@@ -19,6 +23,9 @@ template <typename T>
 SparseVec<T> tile_spmv(const TileMatrix<T>& a, const std::vector<T>& x_dense,
                        std::vector<T>& y_dense, ThreadPool* pool = nullptr) {
   const index_t nt = a.nt;
+  const bool side = a.extracted.nnz() > 0;
+  assert(!side ||
+         a.side_row_ptr.size() == static_cast<std::size_t>(a.rows) + 1);
   y_dense.assign(a.rows, T{});
   parallel_for(
       a.tile_rows,
@@ -39,18 +46,16 @@ SparseVec<T> tile_spmv(const TileMatrix<T>& a, const std::vector<T>& x_dense,
           }
         }
         const index_t r_end = std::min<index_t>((tr + 1) * nt, a.rows);
+        const offset_t k_end = side ? a.side_row_ptr[r_end] : 0;
+        for (offset_t k = side ? a.side_row_ptr[tr * nt] : 0; k < k_end; ++k) {
+          acc[a.extracted.row_idx[k] - tr * nt] +=
+              a.extracted.vals[k] * x_dense[a.extracted.col_idx[k]];
+        }
         for (index_t r = tr * nt; r < r_end; ++r) {
           y_dense[r] = acc[r - tr * nt];
         }
       },
       pool, /*chunk=*/8);
-  // The extracted COO part still has to be applied (TileSpMV keeps every
-  // nonzero in tiles, so benchmarks build this baseline with extraction
-  // disabled; supporting it here keeps the function total either way).
-  for (index_t i = 0; i < a.extracted.nnz(); ++i) {
-    y_dense[a.extracted.row_idx[i]] +=
-        a.extracted.vals[i] * x_dense[a.extracted.col_idx[i]];
-  }
   return SparseVec<T>::from_dense(y_dense);
 }
 

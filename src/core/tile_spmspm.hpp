@@ -6,14 +6,15 @@
 // lane-interleaved accumulator (simd::axpy_lanes), and the per-slot active
 // lane bitmasks of the block replace k separate x_ptr probes per tile.
 //
-// Structure mirrors tile_spmspv's three phases:
+// Structure mirrors tile_spmspv's CSR form:
 //   1. tiled part — one task per work-balanced tile-row chunk; each chunk
 //      owns an nt×k accumulator block (per pool slot, hoisted in the
-//      workspace) written to the rows×k dense output once per tile row,
-//      with the row's union lane mask stored in row_mask;
-//   2. extracted side COO — block-wide, parallel over nnz-weighted chunks
-//      of the active tile slots, atomically merging into the same output;
-//   3. gather — parallel over lanes; each lane counts its flagged tile
+//      workspace), finishes the tile row's extracted side rows into it and
+//      writes it to the rows×k dense output once per tile row, with the
+//      row's union lane mask stored in row_mask. Every output cell is
+//      summed by one task in a fixed order, so each lane's result is
+//      independent of the pool size and the schedule;
+//   2. gather — parallel over lanes; each lane counts its flagged tile
 //      rows first (prefix sizing, no geometric reallocation), then emits
 //      its nonzeros and restores the all-zero workspace invariant.
 //
@@ -31,12 +32,10 @@
 #include "formats/sparse_vector.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/tile_chunks.hpp"
 #include "tile/tile_matrix.hpp"
 #include "tile/tile_vector_block.hpp"
-#include "util/bitkernels.hpp"
 #include "util/bitops.hpp"
 #include "util/simd.hpp"
 #include "util/types.hpp"
@@ -46,15 +45,12 @@ namespace tilespmspv {
 /// Reusable buffers for the block engine, following the SpmspvWorkspace
 /// discipline: steady-state multiplies allocate nothing, and cost stays
 /// proportional to the touched rows. Invariants between calls: y_block and
-/// row_mask are all-zero (the gather restores them); acc, active and
-/// side_chunks hold garbage.
+/// row_mask are all-zero (the gather restores them); acc holds garbage.
 template <typename T = value_t>
 struct SpmspmWorkspace {
   std::vector<T> y_block;               // rows * k dense output, all-zero
   std::vector<std::uint64_t> row_mask;  // per tile row: union lane mask
   std::vector<T> acc;                   // pool slots * nt * k accumulators
-  std::vector<index_t> active;          // hoisted active-slot list (phase 2)
-  std::vector<index_t> side_chunks;     // hoisted nnz-weighted chunk bounds
 
   void ensure(index_t rows, index_t tile_rows, index_t k, index_t nt,
               int pool_slots) {
@@ -186,7 +182,7 @@ inline void block_tile_accumulate_lanes(const T* vals, const std::uint8_t* cols,
 
 /// Y[v] = A * X.lane(v) for every lane of the block. Per lane, the result
 /// is numerically equivalent to tile_spmspv (same products, possibly
-/// different summation order).
+/// different summation order) and bitwise independent of the pool.
 template <typename T>
 std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
                                       const TileVectorBlock<T>& x,
@@ -203,9 +199,10 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
   T* yb = ws.y_block.data();
   std::uint64_t* rmask = ws.row_mask.data();
 
-  // Phase 1: tiled part over the conversion-time work-balanced chunks.
-  // One x_ptr/active probe per tile serves the whole block; the dense vs
-  // sparse lane path is chosen per tile from the active-lane count.
+  // Phase 1: tiled part over the conversion-time work-balanced chunks,
+  // each tile row followed by its side rows. One x_ptr/active probe per
+  // tile (per side entry) serves the whole block; the dense vs sparse lane
+  // path is chosen per tile from the active-lane count.
   {
     obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", "block");
     std::vector<index_t> fallback;
@@ -218,6 +215,9 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
     const index_t* chunk_ptr = cp->data();
     const bool have_runs =
         a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1;
+    const bool side = a.extracted.nnz() > 0;
+    assert(!side ||
+           a.side_row_ptr.size() == static_cast<std::size_t>(a.rows) + 1);
     parallel_for(
         nchunks,
         [&](index_t c) {
@@ -225,9 +225,11 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
           T* acc = ws.acc.data() + static_cast<std::size_t>(slot) * nt *
                                        static_cast<std::size_t>(k);
           std::uint64_t scanned = 0, computed = 0, macs = 0, lane_macs = 0,
-                        shared = 0;
+                        shared = 0, side_macs = 0;
           for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
             std::uint64_t row_word = 0;
+            const index_t r_begin = tr * nt;
+            const index_t r_end = std::min<index_t>(r_begin + nt, a.rows);
             for (offset_t t = a.tile_row_ptr[tr]; t < a.tile_row_ptr[tr + 1];
                  ++t) {
               ++scanned;
@@ -276,9 +278,42 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
                                                     xt, acc);
               }
             }
+            // Side rows of this tile row: each entry's lanes with a
+            // nonzero x value at its column.
+            const offset_t k_end = side ? a.side_row_ptr[r_end] : 0;
+            for (offset_t e = side ? a.side_row_ptr[r_begin] : 0; e < k_end;
+                 ++e) {
+              const index_t j = a.extracted.col_idx[e];
+              const std::uint64_t word = x.active[j / nt];
+              if (word == 0) continue;
+              const T* xrow =
+                  x.x_tile.data() +
+                  (static_cast<std::size_t>(x.x_ptr[j / nt]) * nt + j % nt) *
+                      static_cast<std::size_t>(k);
+              std::uint64_t colmask = 0;
+              for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+                const int v = std::countr_zero(bits);
+                if (xrow[v] != T{}) colmask |= std::uint64_t{1} << v;
+              }
+              if (colmask == 0) continue;
+              side_macs += static_cast<std::uint64_t>(popcount(colmask));
+              if (row_word == 0) {
+                std::fill(acc,
+                          acc + static_cast<std::size_t>(nt) *
+                                    static_cast<std::size_t>(k),
+                          T{});
+              }
+              row_word |= colmask;
+              const T av = a.extracted.vals[e];
+              T* arow = acc + static_cast<std::size_t>(
+                                  a.extracted.row_idx[e] - r_begin) *
+                                  static_cast<std::size_t>(k);
+              for (std::uint64_t bits = colmask; bits != 0; bits &= bits - 1) {
+                const int v = std::countr_zero(bits);
+                arow[v] += av * xrow[v];
+              }
+            }
             if (row_word != 0) {
-              const index_t r_begin = tr * nt;
-              const index_t r_end = std::min<index_t>(r_begin + nt, a.rows);
               std::copy(acc,
                         acc + static_cast<std::size_t>(r_end - r_begin) *
                                   static_cast<std::size_t>(k),
@@ -294,73 +329,12 @@ std::vector<SparseVec<T>> tile_spmspm(const TileMatrix<T>& a,
           obs::counter_add(obs::Counter::kPayloadMacs, macs);
           obs::counter_add(obs::Counter::kBatchLaneMacs, lane_macs);
           obs::counter_add(obs::Counter::kBatchTilesShared, shared);
+          obs::counter_add(obs::Counter::kSideMacs, side_macs);
         },
         &p, /*chunk=*/1);
   }
 
-  // Phase 2: extracted side part, block-wide. Active tile slots are listed
-  // once for the whole block and cut into side-nnz-weighted chunks; each
-  // column's contributing lane mask is computed once, then every side
-  // entry scatters that mask's lanes atomically (several chunks can hit
-  // the same output row).
-  if (a.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", "block");
-    ws.active.resize(static_cast<std::size_t>(x.num_tiles()));
-    const index_t nact = bitk::collect_nonzero(x.active.data(), x.num_tiles(),
-                                               0, ws.active.data());
-    const index_t* active = ws.active.data();
-    build_weighted_chunks_into(
-        ws.side_chunks, nact, kChunkTargetWork, [&](index_t ai) {
-          const index_t j_begin = active[ai] * nt;
-          const index_t j_end = std::min<index_t>(j_begin + nt, a.cols);
-          return a.side_col_ptr[j_end] - a.side_col_ptr[j_begin];
-        });
-    const auto nsc = static_cast<index_t>(ws.side_chunks.size()) - 1;
-    const index_t* side_chunk = ws.side_chunks.data();
-    parallel_for(
-        nsc,
-        [&](index_t c) {
-          std::uint64_t side = 0;
-          for (index_t ai = side_chunk[c]; ai < side_chunk[c + 1]; ++ai) {
-            const index_t s = active[ai];
-            const std::uint64_t word = x.active[s];
-            const T* xt = x.x_tile.data() +
-                          static_cast<std::size_t>(x.x_ptr[s]) * nt *
-                              static_cast<std::size_t>(k);
-            for (index_t lj = 0; lj < nt; ++lj) {
-              const index_t j = s * nt + lj;
-              if (j >= a.cols) break;
-              const offset_t e_begin = a.side_col_ptr[j];
-              const offset_t e_end = a.side_col_ptr[j + 1];
-              if (e_begin == e_end) continue;
-              const T* xrow = xt + static_cast<std::size_t>(lj) * k;
-              std::uint64_t colmask = 0;
-              for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
-                const int v = std::countr_zero(bits);
-                if (xrow[v] != T{}) colmask |= std::uint64_t{1} << v;
-              }
-              if (colmask == 0) continue;
-              side += static_cast<std::uint64_t>(e_end - e_begin) *
-                      static_cast<std::uint64_t>(popcount(colmask));
-              for (offset_t i = e_begin; i < e_end; ++i) {
-                const index_t r = a.side_row_idx[i];
-                const T av = a.side_vals[i];
-                T* yrow = yb + static_cast<std::size_t>(r) * k;
-                for (std::uint64_t bits = colmask; bits != 0;
-                     bits &= bits - 1) {
-                  const int v = std::countr_zero(bits);
-                  atomic_add(&yrow[v], av * xrow[v]);
-                }
-                atomic_or(&rmask[r / nt], colmask);
-              }
-            }
-          }
-          obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        &p, /*chunk=*/1);
-  }
-
-  // Phase 3: per-lane gather, parallel over the k lanes. Each lane sizes
+  // Gather: per lane, parallel over the k lanes. Each lane sizes
   // its output from its flagged-tile-row count (one bit test per tile
   // row), emits in index order, and clears exactly the y_block cells it
   // read — lanes touch disjoint cells, so no synchronization is needed.

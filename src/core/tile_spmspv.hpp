@@ -7,8 +7,10 @@
 // Surviving tiles run a tile-local CSR × dense-tile product into an
 // NT-element register-like accumulator, with the gather+multiply half of the
 // product vectorized (util/simd.hpp). The very sparse part extracted into
-// COO at preprocessing time is processed by a separate edge-parallel pass
-// merged into the same output (paper §3.2.1 / §3.4 hybrid).
+// COO at preprocessing time (paper §3.2.1) is finished row by row in the
+// task that owns the tile row, from the row-major side index, so every
+// output value is summed by one task in a fixed order: the CSR form is
+// bitwise reproducible across pool sizes and schedules.
 //
 // The paper's two forms (§3.2.3), one function each: the CSR form
 // (tile_spmspv) takes an optional output mask, the GraphBLAS fused
@@ -37,7 +39,6 @@
 #include "obs/counters.hpp"
 #include "obs/shard_stats.hpp"
 #include "obs/trace.hpp"
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/tile_chunks.hpp"
 #include "tile/tile_matrix.hpp"
@@ -381,7 +382,7 @@ const std::vector<index_t>& phase1_shard_bounds(SpmspvWorkspace<T>& ws,
 /// GraphBLAS fused form: only output positions r with
 /// (*mask)[r] != complement are emitted — with `complement` set, the
 /// positions NOT in the mask (the BFS recurrence: next = (A·frontier)
-/// masked by the complement of visited). Phases 1-2 run unmasked (output
+/// masked by the complement of visited). Phase 1 runs unmasked (output
 /// positions are unknown until computed); the gather applies the mask, so
 /// masked-out values never reach the output vector and the intermediate
 /// vector of mask(tile_spmspv(...), m) is never materialized.
@@ -398,9 +399,10 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
   unsigned char* flag = ws.tile_flag.data();
 
   // Phase 1: tiled part, one task per work-balanced chunk of tile rows
-  // (paper Alg. 4 with conversion-time weighted scheduling). Counters
-  // accumulate into locals and flush once per chunk; with counters
-  // compiled out the adds are dead and the locals fold away.
+  // (paper Alg. 4 with conversion-time weighted scheduling), each tile row
+  // followed by its side rows. Counters accumulate into locals and flush
+  // once per chunk; with counters compiled out the adds are dead and the
+  // locals fold away.
   {
     obs::TraceSpan span("spmspv/phase1_tiled", "spmspv", form);
     std::vector<index_t> fallback;
@@ -412,12 +414,17 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
     const auto nchunks = static_cast<index_t>(cp->size()) - 1;
     const index_t* chunk_ptr = cp->data();
     assert(a.run_ptr.size() == static_cast<std::size_t>(a.num_tiles()) + 1);
+    const bool side = a.extracted.nnz() > 0;
+    assert(!side ||
+           a.side_row_ptr.size() == static_cast<std::size_t>(a.rows) + 1);
     const auto chunk_body = [&](index_t c) {
           T acc[256];  // nt <= 256 by TileMatrix invariant
           T prod[detail::kProdScratch];
-          std::uint64_t scanned = 0, computed = 0, macs = 0;
+          std::uint64_t scanned = 0, computed = 0, macs = 0, side_macs = 0;
           for (index_t tr = chunk_ptr[c]; tr < chunk_ptr[c + 1]; ++tr) {
             bool any = false;
+            const index_t r_begin = tr * nt;
+            const index_t r_end = std::min<index_t>(r_begin + nt, a.rows);
             for (offset_t t = a.tile_row_ptr[tr]; t < a.tile_row_ptr[tr + 1];
                  ++t) {
               ++scanned;
@@ -441,9 +448,25 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
                   static_cast<int>(a.run_ptr[t + 1] - a.run_ptr[t]),
                   tile_nnz, a.tile_strategy[t], xt, acc, prod);
             }
+            // Side rows of this tile row (a contiguous, row-major range of
+            // the extracted COO): probe x per entry.
+            const offset_t k_end = side ? a.side_row_ptr[r_end] : 0;
+            for (offset_t k = side ? a.side_row_ptr[r_begin] : 0; k < k_end;
+                 ++k) {
+              const index_t j = a.extracted.col_idx[k];
+              const index_t x_offset = x.x_ptr[j / nt];
+              if (x_offset == kEmptyTile) continue;
+              const T xv =
+                  x.x_tile[static_cast<std::size_t>(x_offset) * nt + j % nt];
+              if (xv == T{}) continue;
+              ++side_macs;
+              if (!any) {
+                for (index_t i = 0; i < nt; ++i) acc[i] = T{};
+                any = true;
+              }
+              acc[a.extracted.row_idx[k] - r_begin] += a.extracted.vals[k] * xv;
+            }
             if (any) {
-              const index_t r_begin = tr * nt;
-              const index_t r_end = std::min<index_t>(r_begin + nt, a.rows);
               for (index_t r = r_begin; r < r_end; ++r) {
                 yd[r] = acc[r - r_begin];
               }
@@ -455,6 +478,7 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
                            scanned - computed);
           obs::counter_add(obs::Counter::kTilesComputed, computed);
           obs::counter_add(obs::Counter::kPayloadMacs, macs);
+          obs::counter_add(obs::Counter::kSideMacs, side_macs);
           obs::shard_add_tiles(ThreadPool::current_shard(), scanned);
     };
     ThreadPool& p1 = pool ? *pool : ThreadPool::shared();
@@ -472,42 +496,8 @@ SparseVec<T> tile_spmspv(const TileMatrix<T>& a, const TileVector<T>& x,
     }
   }
 
-  // Phase 2: extracted very-sparse part, driven by the active columns so
-  // its cost is proportional to nnz(x), not to the side-matrix size.
-  if (a.extracted.nnz() > 0) {
-    obs::TraceSpan span("spmspv/phase2_side", "spmspv", form);
-    ws.active.clear();
-    for (index_t s = 0; s < x.num_tiles(); ++s) {
-      if (x.x_ptr[s] != kEmptyTile) ws.active.push_back(s);
-    }
-    const std::vector<index_t>& active = ws.active;
-    parallel_for(
-        static_cast<index_t>(active.size()),
-        [&](index_t ai) {
-          const index_t s = active[ai];
-          const T* xt = &x.x_tile[static_cast<std::size_t>(x.x_ptr[s]) * nt];
-          std::uint64_t side = 0;
-          for (index_t lj = 0; lj < nt; ++lj) {
-            const index_t j = s * nt + lj;
-            if (j >= a.cols) break;
-            const T xv = xt[lj];
-            if (xv == T{}) continue;
-            side += static_cast<std::uint64_t>(a.side_col_ptr[j + 1] -
-                                               a.side_col_ptr[j]);
-            for (offset_t i = a.side_col_ptr[j]; i < a.side_col_ptr[j + 1];
-                 ++i) {
-              const index_t r = a.side_row_idx[i];
-              atomic_add(&yd[r], a.side_vals[i] * xv);
-              atomic_or<unsigned char>(&flag[r / nt], 1);
-            }
-          }
-          obs::counter_add(obs::Counter::kSideMacs, side);
-        },
-        pool, /*chunk=*/16);
-  }
-
-  // Phase 3: gather touched tile rows into the sparse result and restore
-  // the workspace's all-zero invariant.
+  // Gather touched tile rows into the sparse result and restore the
+  // workspace's all-zero invariant.
   obs::TraceSpan span("spmspv/phase3_gather", "spmspv", form);
   obs::counter_add(obs::Counter::kGatherSlots,
                    static_cast<std::uint64_t>(a.tile_rows));

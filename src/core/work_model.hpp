@@ -39,11 +39,10 @@ SpmspvWork work_tile_spmspv_csr(const TileMatrix<T>& a,
       w.payload_macs += a.tile_nnz_ptr[t + 1] - a.tile_nnz_ptr[t];
     }
   }
-  for (index_t s = 0; s < x.num_tiles(); ++s) {
-    if (x.x_ptr[s] == kEmptyTile) continue;
-    const index_t j_begin = s * x.nt;
-    const index_t j_end = std::min<index_t>(j_begin + x.nt, a.cols);
-    w.side_macs += a.side_col_ptr[j_end] - a.side_col_ptr[j_begin];
+  // Side entries whose x tile is non-empty: each tile row's task probes
+  // x for every entry of its side rows.
+  for (const index_t j : a.extracted.col_idx) {
+    if (x.x_ptr[j / x.nt] != kEmptyTile) ++w.side_macs;
   }
   w.gather_slots = a.tile_rows;
   return w;

@@ -27,6 +27,14 @@ void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
+// Input text quoted in an error message, capped so that a rejected upload
+// (a binary file, a megabyte without a newline) cannot come back as a
+// megabyte-long error.
+std::string excerpt(const std::string& text) {
+  constexpr std::size_t kMax = 64;
+  return text.size() <= kMax ? text : text.substr(0, kMax) + "...";
+}
+
 }  // namespace
 
 Coo<value_t> read_matrix_market(std::istream& in) {
@@ -39,7 +47,7 @@ Coo<value_t> read_matrix_market(std::istream& in) {
   std::string banner, object, format, field, symmetry;
   header >> banner >> object >> format >> field >> symmetry;
   if (banner != "%%MatrixMarket" || lower(object) != "matrix") {
-    throw std::runtime_error("matrix market: bad banner: " + line);
+    throw std::runtime_error("matrix market: bad banner: " + excerpt(line));
   }
   format = lower(format);
   field = lower(field);
@@ -48,11 +56,12 @@ Coo<value_t> read_matrix_market(std::istream& in) {
     throw std::runtime_error("matrix market: only coordinate format supported");
   }
   if (field != "real" && field != "integer" && field != "pattern") {
-    throw std::runtime_error("matrix market: unsupported field: " + field);
+    throw std::runtime_error("matrix market: unsupported field: " +
+                             excerpt(field));
   }
   if (symmetry != "general" && symmetry != "symmetric") {
     throw std::runtime_error("matrix market: unsupported symmetry: " +
-                             symmetry);
+                             excerpt(symmetry));
   }
 
   // Skip comments, then read the size line.
@@ -64,18 +73,20 @@ Coo<value_t> read_matrix_market(std::istream& in) {
   {
     std::istringstream size_line(line);
     if (!(size_line >> rows >> cols >> entries)) {
-      throw std::runtime_error("matrix market: bad size line: " + line);
+      throw std::runtime_error("matrix market: bad size line: " +
+                               excerpt(line));
     }
   }
   if (rows < 0 || cols < 0 || entries < 0) {
-    throw std::runtime_error("matrix market: negative size line: " + line);
+    throw std::runtime_error("matrix market: negative size line: " +
+                             excerpt(line));
   }
   // Dims must fit index_t exactly; a static_cast here would silently
   // truncate a 64-bit header value into a wrong (possibly negative) index.
   if (rows > std::numeric_limits<index_t>::max() ||
       cols > std::numeric_limits<index_t>::max()) {
     throw std::runtime_error("matrix market: dimensions out of index range: " +
-                             line);
+                             excerpt(line));
   }
   // Bound the claimed entry count by what the stream can still provide (a
   // coordinate line is at least "1 1" plus a newline), so a corrupt count
@@ -105,10 +116,12 @@ Coo<value_t> read_matrix_market(std::istream& in) {
     entry >> r >> c;
     if (!pattern) entry >> v;
     if (!entry) {
-      throw std::runtime_error("matrix market: bad entry: " + line);
+      throw std::runtime_error("matrix market: bad entry: " +
+                               excerpt(line));
     }
     if (r < 1 || r > rows || c < 1 || c > cols) {
-      throw std::runtime_error("matrix market: index out of range: " + line);
+      throw std::runtime_error("matrix market: index out of range: " +
+                               excerpt(line));
     }
     m.push(static_cast<index_t>(r - 1), static_cast<index_t>(c - 1), v);
     if (symmetry == "symmetric" && r != c) {

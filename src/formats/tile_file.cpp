@@ -281,9 +281,6 @@ void add_tile_matrix_sections(TileFileWriter& w, const TileMatrix<value_t>& m,
   w.add(ts::kExtRowIdx | id_bits, m.extracted.row_idx);
   w.add(ts::kExtColIdx | id_bits, m.extracted.col_idx);
   w.add(ts::kExtVals | id_bits, m.extracted.vals);
-  w.add(ts::kSideColPtr | id_bits, m.side_col_ptr);
-  w.add(ts::kSideRowIdx | id_bits, m.side_row_idx);
-  w.add(ts::kSideVals | id_bits, m.side_vals);
   w.add(ts::kSideRowPtr | id_bits, m.side_row_ptr);
   w.add(ts::kRowChunkPtr | id_bits, m.row_chunk_ptr);
   w.add(ts::kRunPtr | id_bits, m.run_ptr);
@@ -311,9 +308,6 @@ TileMatrix<value_t> bind_tile_matrix(const TileFileView& v, index_t rows,
   v.copy(ts::kExtRowIdx | id_bits, m.extracted.row_idx);
   v.copy(ts::kExtColIdx | id_bits, m.extracted.col_idx);
   v.copy(ts::kExtVals | id_bits, m.extracted.vals);
-  v.bind(ts::kSideColPtr | id_bits, m.side_col_ptr);
-  v.bind(ts::kSideRowIdx | id_bits, m.side_row_idx);
-  v.bind(ts::kSideVals | id_bits, m.side_vals);
   v.bind(ts::kSideRowPtr | id_bits, m.side_row_ptr);
   v.copy(ts::kRowChunkPtr | id_bits, m.row_chunk_ptr);
   v.bind(ts::kRunPtr | id_bits, m.run_ptr);
@@ -327,17 +321,15 @@ TileMatrix<value_t> bind_tile_matrix(const TileFileView& v, index_t rows,
       m.tile_nnz_ptr.size() != tiles + 1 ||
       m.intra_row_ptr.size() != tiles * static_cast<std::size_t>(nt + 1) ||
       m.run_ptr.size() != tiles + 1 || m.tile_strategy.size() != tiles ||
-      m.side_col_ptr.size() != static_cast<std::size_t>(cols) + 1 ||
       m.side_row_ptr.size() != static_cast<std::size_t>(rows) + 1 ||
       m.local_col.size() != m.vals.size()) {
     throw std::runtime_error("tile_file: matrix section lengths inconsistent");
   }
-  // Parallel-array agreement: the side CSC arrays and the extracted COO
-  // triple are indexed with a shared cursor, so a crafted file that
-  // shortens one section (each section is internally consistent, so open()
-  // cannot catch this) would send the kernels past the shorter array.
-  if (m.side_row_idx.size() != m.side_vals.size() ||
-      m.extracted.row_idx.size() != m.extracted.vals.size() ||
+  // Parallel-array agreement: the extracted COO triple is indexed with a
+  // shared cursor, so a crafted file that shortens one section (each
+  // section is internally consistent, so open() cannot catch this) would
+  // send the kernels past the shorter array.
+  if (m.extracted.row_idx.size() != m.extracted.vals.size() ||
       m.extracted.col_idx.size() != m.extracted.vals.size()) {
     throw std::runtime_error("tile_file: parallel section lengths disagree");
   }

@@ -14,7 +14,7 @@
 //
 // Every payload starts on a 64-byte boundary, so an mmapped file can back
 // the kernels' ArrayBuf views directly — no copy, no rebuild (ALL arrays
-// are stored, including the derived run lists, side indexes and chunk
+// are stored, including the derived run lists, side index and chunk
 // boundaries). The header carries an FNV-1a hash over the payload bytes;
 // the serving layer keys snapshots off it, rehashing the mapped payload
 // once at admission so the key is bound to the actual bytes (a forged
@@ -96,9 +96,8 @@ inline constexpr std::uint32_t kVals = 6;
 inline constexpr std::uint32_t kExtRowIdx = 7;
 inline constexpr std::uint32_t kExtColIdx = 8;
 inline constexpr std::uint32_t kExtVals = 9;
-inline constexpr std::uint32_t kSideColPtr = 10;
-inline constexpr std::uint32_t kSideRowIdx = 11;
-inline constexpr std::uint32_t kSideVals = 12;
+// Ids 10-12 are retired: older files carry a column-major copy of the side
+// part there, which readers ignore. Never reuse them.
 inline constexpr std::uint32_t kSideRowPtr = 13;
 inline constexpr std::uint32_t kRowChunkPtr = 14;
 inline constexpr std::uint32_t kRunPtr = 15;

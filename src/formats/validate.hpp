@@ -106,13 +106,6 @@ inline void require_valid(const ValidationResult& r, const char* what) {
 
 namespace detail {
 
-/// Bitwise value equality, so validators agree with the serializer on NaN
-/// payloads (a NaN value is corrupt data, not an invariant violation).
-template <typename T>
-bool bit_equal(const T& a, const T& b) {
-  return std::memcmp(&a, &b, sizeof(T)) == 0;
-}
-
 inline std::string idx_str(std::int64_t i) { return std::to_string(i); }
 
 /// Prefix-sum ("pointer") array check: exact length, starts at zero,
@@ -619,44 +612,6 @@ ValidationResult validate_tile_matrix(const TM& m) {
 
   // Gate 5: derived arrays, when present.
   const auto extracted_nnz = static_cast<std::int64_t>(m.extracted.nnz());
-  if (!m.side_col_ptr.empty()) {
-    if (!detail::check_ptr_array(r, m.side_col_ptr,
-                                 static_cast<std::size_t>(m.cols) + 1,
-                                 extracted_nnz, "side_col_ptr")) {
-      return r;
-    }
-    if (m.side_row_idx.size() != static_cast<std::size_t>(extracted_nnz) ||
-        m.side_vals.size() != static_cast<std::size_t>(extracted_nnz)) {
-      r.add("side/parallel",
-            "side_row_idx/side_vals sizes do not match extracted nnz " +
-                to_string(extracted_nnz));
-      return r;
-    }
-    // Replay the stable counting sort that built the side index and demand
-    // bitwise agreement (extracted-COO consistency).
-    std::vector<offset_t> expect_ptr(static_cast<std::size_t>(m.cols) + 1, 0);
-    for (index_t c : m.extracted.col_idx) ++expect_ptr[c + 1];
-    for (index_t c = 0; c < m.cols; ++c) expect_ptr[c + 1] += expect_ptr[c];
-    for (index_t c = 0; c <= m.cols; ++c) {
-      if (m.side_col_ptr[c] != expect_ptr[c]) {
-        r.add("side_col_ptr/agreement",
-              "column pointer disagrees with extracted COO at column " +
-                  to_string(c));
-        return r;
-      }
-    }
-    std::vector<offset_t> cursor(expect_ptr.begin(), expect_ptr.end() - 1);
-    for (index_t i = 0; i < m.extracted.nnz(); ++i) {
-      const offset_t pos = cursor[m.extracted.col_idx[i]]++;
-      if (m.side_row_idx[pos] != m.extracted.row_idx[i] ||
-          !detail::bit_equal(m.side_vals[pos], m.extracted.vals[i])) {
-        r.add("side/agreement",
-              "side index entry " + to_string(pos) +
-                  " disagrees with extracted COO entry " + to_string(i));
-        return r;
-      }
-    }
-  }
   if (!m.side_row_ptr.empty()) {
     if (!detail::check_ptr_array(r, m.side_row_ptr,
                                  static_cast<std::size_t>(m.rows) + 1,

@@ -1,9 +1,10 @@
-// Per-shard placement/balance statistics (ROADMAP item 3). The Counter
-// enum in obs/counters.hpp aggregates process-wide scalars; shard stats
-// are a small fixed family of per-shard accumulators that prove balanced
-// NUMA placement: bytes placed per shard (set when a ShardPlan is built),
-// tiles visited per shard (added by the sharded kernel dispatch loops) and
-// wall milliseconds per shard (added by the pool's sharded drain).
+// Per-shard placement/balance statistics for NUMA-sharded pools. The
+// Counter enum in obs/counters.hpp aggregates process-wide scalars; shard
+// stats are a small fixed family of per-shard accumulators that prove
+// balanced NUMA placement: bytes placed per shard (set when a ShardPlan is
+// built), tiles visited per shard (added by the sharded kernel dispatch
+// loops) and wall milliseconds per shard (added by the pool's sharded
+// drain).
 //
 // All accumulators are process-global like the counters: the sharded
 // paths are opt-in (ThreadPool::configure_shards), and the consumers —

@@ -1,6 +1,6 @@
-// Storage placement layer (ROADMAP item 3): every heavy array of the tiled
-// structures lives behind ArrayBuf, an owned-or-view buffer, so the same
-// TileMatrix / BitTileGraph type can hold
+// Storage placement layer (NUMA first-touch, zero-copy mapped files):
+// every heavy array of the tiled structures lives behind ArrayBuf, an
+// owned-or-view buffer, so the same TileMatrix / BitTileGraph type can hold
 //   - plain heap vectors (the default, exactly the old behaviour),
 //   - slices of a per-NUMA-node first-touch Arena (pages placed by pinned
 //     pool workers copying their own shard's slice), or

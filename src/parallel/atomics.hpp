@@ -1,5 +1,7 @@
 // Atomic helpers mirroring the CUDA primitives the paper's kernels use:
-// atomicOr on bitmask words and atomicAdd on accumulator values. The BFS
+// atomicOr on bitmask words, test-and-set, CAS claims and relaxed word
+// loads/stores. There is no float atomicAdd: every numeric kernel sums
+// each output in the one task that owns it, in a fixed order. The BFS
 // kernels only need monotone idempotent OR, so relaxed ordering suffices
 // (every kernel launch is separated by a pool barrier, which publishes all
 // writes before the next phase reads them).
@@ -19,18 +21,6 @@ inline void atomic_or(W* target, W bits) {
   static_assert(std::is_integral_v<W>);
   reinterpret_cast<std::atomic<W>*>(target)->fetch_or(
       bits, std::memory_order_relaxed);
-}
-
-/// atomicAdd equivalent for floating-point accumulation (CAS loop, as CUDA
-/// does for doubles pre-sm_60).
-template <typename T>
-inline void atomic_add(T* target, T delta) {
-  static_assert(std::is_floating_point_v<T>);
-  auto* a = reinterpret_cast<std::atomic<T>*>(target);
-  T cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + delta,
-                                   std::memory_order_relaxed)) {
-  }
 }
 
 /// Atomic test-and-set of a byte flag; returns the previous value. The BFS

@@ -4,9 +4,9 @@
 // bit-parallel tile_ms_bfs over the snapshot's bitmask graph for BFS
 // batches — when k queries have accumulated or the oldest query's
 // deadline expires. This is how the daemon converts the block-of-k
-// amortization (ROADMAP item 2, core/tile_spmspm.hpp) into serving
-// throughput: concurrent clients share tile metadata walks without
-// coordinating with each other.
+// amortization (core/tile_spmspm.hpp) into serving throughput:
+// concurrent clients share tile metadata walks without coordinating with
+// each other.
 //
 // Each queue pins the MatrixSnapshot captured when its first query was
 // admitted, so a snapshot swap (matrix reload) never mixes operands

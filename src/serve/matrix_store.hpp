@@ -1,4 +1,4 @@
-// Matrix residency for the serving daemon (ROADMAP item 2): converted
+// Matrix residency for the serving daemon: converted
 // TileMatrix instances stay resident in an LRU cache keyed by a content
 // hash of the matrix, so repeated queries against the same matrix never
 // pay conversion twice and identical uploads under different names share

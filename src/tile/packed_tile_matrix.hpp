@@ -125,7 +125,8 @@ struct PackedTileMatrix {
       }
     }
     m.row_chunk_ptr =
-        build_row_chunks(m.tile_rows, m.tile_row_ptr, m.tile_nnz_ptr);
+        build_row_chunks(m.tile_rows, m.tile_row_ptr, m.tile_nnz_ptr,
+                         [](index_t) { return offset_t{0}; });
     TILESPMSPV_POSTCONDITION(validate_packed_tile_matrix(m),
                              "PackedTileMatrix::from_csr");
     return m;

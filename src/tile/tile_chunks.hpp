@@ -29,13 +29,15 @@ inline constexpr offset_t kChunkTargetWork = 4096;
 /// CSR-over-tiles row pointer (length tile_rows + 1) and `tile_nnz_ptr`
 /// the per-tile entry ranges; both the TileMatrix and PackedTileMatrix
 /// layouts provide them (templated on the array type so owned vectors and
-/// mapped ArrayBuf views both work). Returns boundaries: chunk c covers
-/// tile rows [out[c], out[c+1]). Always at least one chunk when
-/// tile_rows > 0.
-template <typename PtrArray, typename NnzArray>
+/// mapped ArrayBuf views both work). `row_work(tr)` adds work done
+/// outside the tiles (TileMatrix: the tile row's side entries). Returns
+/// boundaries: chunk c covers tile rows [out[c], out[c+1]). Always at least
+/// one chunk when tile_rows > 0.
+template <typename PtrArray, typename NnzArray, typename RowWork>
 inline std::vector<index_t> build_row_chunks(index_t tile_rows,
                                              const PtrArray& tile_row_ptr,
-                                             const NnzArray& tile_nnz_ptr) {
+                                             const NnzArray& tile_nnz_ptr,
+                                             RowWork&& row_work) {
   std::vector<index_t> bounds;
   bounds.push_back(0);
   if (tile_rows <= 0) return bounds;
@@ -45,7 +47,7 @@ inline std::vector<index_t> build_row_chunks(index_t tile_rows,
     const offset_t t_end = tile_row_ptr[tr + 1];
     // +1 per row: even empty tile rows cost a claim-loop iteration.
     acc += 1 + kTileMetaWork * (t_end - t_begin) +
-           (tile_nnz_ptr[t_end] - tile_nnz_ptr[t_begin]);
+           (tile_nnz_ptr[t_end] - tile_nnz_ptr[t_begin]) + row_work(tr);
     if (acc >= kChunkTargetWork) {
       bounds.push_back(tr + 1);
       acc = 0;

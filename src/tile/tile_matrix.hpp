@@ -59,15 +59,10 @@ struct TileMatrix {
   // Nonzeros extracted from very sparse tiles (empty when extraction off).
   Coo<T> extracted;
 
-  // The same extracted nonzeros indexed by column, so multiply kernels can
-  // visit only the columns selected by the sparse input vector instead of
-  // sweeping the whole side matrix (work-proportionality; see DESIGN.md).
-  ArrayBuf<offset_t> side_col_ptr;  // length cols + 1
-  ArrayBuf<index_t> side_row_idx;
-  ArrayBuf<T> side_vals;
-
-  // Row pointer into `extracted` (which from_csr builds row-major sorted),
-  // for kernels that consume this matrix as a transposed view.
+  // Row pointer into `extracted` (which from_csr builds row-major sorted):
+  // the one side index. Row-driven kernels finish a tile row's side rows in
+  // the task that owns the tile row; the CSC form reads it as the
+  // transposed view's column index.
   ArrayBuf<offset_t> side_row_ptr;  // length rows + 1
 
   // Work-balanced tile-row chunk boundaries (see tile/tile_chunks.hpp):
@@ -267,29 +262,21 @@ struct TileMatrix {
   /// (Re)builds the work-balanced scheduling chunks from the current tile
   /// layout (called by from_csr; a mapped TTLF file stores them). Re-call
   /// after mutating the tile structure manually in tests.
+  /// Each tile row is charged its side entries too, since the task that
+  /// owns a tile row also finishes its side rows.
   void build_row_chunks() {
-    row_chunk_ptr =
-        tilespmspv::build_row_chunks(tile_rows, tile_row_ptr, tile_nnz_ptr);
+    const bool side = side_row_ptr.size() == static_cast<std::size_t>(rows) + 1;
+    row_chunk_ptr = tilespmspv::build_row_chunks(
+        tile_rows, tile_row_ptr, tile_nnz_ptr, [&](index_t tr) -> offset_t {
+          if (!side) return 0;
+          const index_t r_end = std::min<index_t>((tr + 1) * nt, rows);
+          return side_row_ptr[r_end] - side_row_ptr[tr * nt];
+        });
   }
 
-  /// Builds the column index over the extracted part (called by from_csr;
+  /// Builds the row pointer over the extracted part (called by from_csr;
   /// re-call after mutating `extracted` manually in tests).
   void build_side_index() {
-    side_col_ptr.assign(cols + 1, 0);
-    side_row_idx.resize(extracted.nnz());
-    side_vals.resize(extracted.nnz());
-    for (index_t c : extracted.col_idx) {
-      ++side_col_ptr[c + 1];
-    }
-    for (index_t c = 0; c < cols; ++c) {
-      side_col_ptr[c + 1] += side_col_ptr[c];
-    }
-    std::vector<offset_t> cursor(side_col_ptr.begin(), side_col_ptr.end() - 1);
-    for (index_t i = 0; i < extracted.nnz(); ++i) {
-      const offset_t pos = cursor[extracted.col_idx[i]]++;
-      side_row_idx[pos] = extracted.row_idx[i];
-      side_vals[pos] = extracted.vals[i];
-    }
     side_row_ptr.assign(rows + 1, 0);
     for (index_t r : extracted.row_idx) {
       ++side_row_ptr[r + 1];
@@ -328,21 +315,10 @@ struct TileMatrix {
       return false;
     }
     // Not in a kept tile: the entry may live in the extracted part.
-    for (offset_t i = side_col_ptr[c]; i < side_col_ptr[c + 1]; ++i) {
-      if (side_row_idx[i] == r) {
-        side_vals[i] = v;
-        // Keep the COO mirror consistent (row-major sorted: search the
-        // row range via side_row_ptr).
-        for (offset_t k = side_row_ptr[r]; k < side_row_ptr[r + 1]; ++k) {
-          if (extracted.col_idx[k] == c) {
-            extracted.vals[k] = v;
-            break;
-          }
-        }
-        return true;
-      }
-    }
-    return false;
+    const offset_t k = find_side(r, c);
+    if (k < 0) return false;
+    extracted.vals[k] = v;
+    return true;
   }
 
   /// Reads the stored value at (r, c); returns T{} when not present
@@ -364,10 +340,18 @@ struct TileMatrix {
       const auto* ci = std::lower_bound(cb, ce, lc);
       if (ci != ce && *ci == lc) return vals[base + p[lr] + (ci - cb)];
     }
-    for (offset_t i = side_col_ptr[c]; i < side_col_ptr[c + 1]; ++i) {
-      if (side_row_idx[i] == r) return side_vals[i];
-    }
-    return T{};
+    const offset_t k = find_side(r, c);
+    return k < 0 ? T{} : extracted.vals[k];
+  }
+
+  /// Position of (r, c) in `extracted`, or -1: a binary search of row r's
+  /// range, whose columns from_csr leaves sorted.
+  offset_t find_side(index_t r, index_t c) const {
+    if (side_row_ptr.empty()) return -1;
+    const index_t* cb = extracted.col_idx.data() + side_row_ptr[r];
+    const index_t* ce = extracted.col_idx.data() + side_row_ptr[r + 1];
+    const index_t* ci = std::lower_bound(cb, ce, c);
+    return ci != ce && *ci == c ? side_row_ptr[r] + (ci - cb) : -1;
   }
 
   /// Reassembles the full matrix (tiled part + extracted part) as sorted
@@ -402,7 +386,6 @@ struct TileMatrix {
     return vb(tile_row_ptr) + vb(tile_col_id) + vb(tile_nnz_ptr) +
            vb(intra_row_ptr) + vb(local_col) + vb(vals) +
            vb(extracted.row_idx) + vb(extracted.col_idx) + vb(extracted.vals) +
-           vb(side_col_ptr) + vb(side_row_idx) + vb(side_vals) +
            vb(side_row_ptr) + vb(row_chunk_ptr) + vb(run_ptr) + vb(row_runs) +
            vb(tile_strategy);
   }
@@ -421,9 +404,6 @@ struct TileMatrix {
     arena_place_buf(*arena, intra_row_ptr, pool);
     arena_place_buf(*arena, local_col, pool);
     arena_place_buf(*arena, vals, pool);
-    arena_place_buf(*arena, side_col_ptr, pool);
-    arena_place_buf(*arena, side_row_idx, pool);
-    arena_place_buf(*arena, side_vals, pool);
     arena_place_buf(*arena, side_row_ptr, pool);
     arena_place_buf(*arena, run_ptr, pool);
     arena_place_buf(*arena, row_runs, pool);

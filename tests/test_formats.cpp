@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "formats/coo.hpp"
 #include "formats/csc.hpp"
@@ -191,6 +193,20 @@ TEST(MatrixMarket, PatternGetsUnitValues) {
 TEST(MatrixMarket, RejectsBadBanner) {
   std::istringstream in("%%NotMatrixMarket x y z w\n");
   EXPECT_THROW(read_matrix_market(in), std::runtime_error);
+}
+
+TEST(MatrixMarket, BadBannerErrorQuotesOnlyAPrefix) {
+  // A megabyte without a newline is one "banner line"; the error quotes a
+  // short prefix of it, not the whole line.
+  std::istringstream in(std::string(1000000, 'x'));
+  try {
+    read_matrix_market(in);
+    FAIL() << "a banner of x's was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("matrix market: bad banner: xxxx", 0), 0u) << what;
+    EXPECT_LT(what.size(), 128u);
+  }
 }
 
 TEST(MatrixMarket, RejectsOutOfRangeIndex) {

@@ -321,19 +321,19 @@ TEST(FuzzCorruption, TileFileDirectedHeaderAttacks) {
   // Wrapping count: 2^61 * elem_size(8) overflows uint64 to exactly 0, so
   // a multiplicative `bytes == count * elem_size` check would accept
   // bytes=0 and let views claim 2^61 elements over a tiny mapping. Target
-  // the side_vals section (add-order index 11) — unlike the pointer
-  // arrays it has no downstream length gate, so only the section-table
-  // division check stands between the forged count and an out-of-bounds
-  // read in deep validation.
+  // the extracted-values section (add-order index 8) — it is copied out
+  // of the mapping before any cross-section length gate runs, so only the
+  // section-table division check stands between the forged count and a
+  // 2^61-element read.
   s = base;
-  const std::size_t sec_side_vals = sec0 + 11 * sizeof(TileFileSection);
-  std::uint32_t side_vals_id = 0;
-  std::memcpy(&side_vals_id, &s[sec_side_vals], 4);
-  ASSERT_EQ(side_vals_id, tf_section::kSideVals);
+  const std::size_t sec_ext_vals = sec0 + 8 * sizeof(TileFileSection);
+  std::uint32_t ext_vals_id = 0;
+  std::memcpy(&ext_vals_id, &s[sec_ext_vals], 4);
+  ASSERT_EQ(ext_vals_id, tf_section::kExtVals);
   const std::uint64_t wrap_count = std::uint64_t{1} << 61;
   const std::uint64_t wrap_bytes = 0;
-  std::memcpy(&s[sec_side_vals + 16], &wrap_bytes, 8);
-  std::memcpy(&s[sec_side_vals + 24], &wrap_count, 8);
+  std::memcpy(&s[sec_ext_vals + 16], &wrap_bytes, 8);
+  std::memcpy(&s[sec_ext_vals + 24], &wrap_count, 8);
   expect_reject(s, false, "count*elem_size wraps to stored bytes");
 
   // Flip one payload byte: the structure may still parse, but the recorded
@@ -358,10 +358,11 @@ TEST(FuzzCorruption, TileFileDirectedHeaderAttacks) {
 
 TEST(FuzzCorruption, TileFileParallelArrayAttack) {
   // Directed attack on bind_tile_matrix's parallel-array gate: shrink the
-  // side_vals section by one element. Every per-section invariant open()
-  // checks still holds (elem_size divides bytes, count == bytes/elem_size,
-  // payload in bounds), so only the cross-section length gate stands
-  // between the shortened array and the kernels' shared side cursor.
+  // extracted-values section by one element. Every per-section invariant
+  // open() checks still holds (elem_size divides bytes, count ==
+  // bytes/elem_size, payload in bounds), so only the cross-section length
+  // gate stands between the shortened array and the kernels' shared side
+  // cursor.
   const std::string path = "/tmp/tilespmspv_fuzz_ttlf_parallel.bin";
   Coo<value_t> coo = gen_erdos_renyi(120, 96, 0.04, 4206);
   coo.cols = 110;
@@ -369,24 +370,24 @@ TEST(FuzzCorruption, TileFileParallelArrayAttack) {
   coo.push(119, 109, 0.25);
   const auto a = Csr<value_t>::from_coo(coo);
   const auto m = TileMatrix<value_t>::from_csr(a, 16, 2);
-  ASSERT_GT(m.side_vals.size(), 0u) << "fixture must exercise the side part";
+  ASSERT_GT(m.extracted.nnz(), 0) << "fixture must exercise the side part";
   write_tile_matrix_file_v2(path, m);
   std::string s = read_bytes(path);
 
-  const std::size_t sec_side_vals =
-      sizeof(TileFileHeader) + 11 * sizeof(TileFileSection);
+  const std::size_t sec_ext_vals =
+      sizeof(TileFileHeader) + 8 * sizeof(TileFileSection);
   std::uint32_t id = 0;
-  std::memcpy(&id, &s[sec_side_vals], 4);
-  ASSERT_EQ(id, tf_section::kSideVals);
+  std::memcpy(&id, &s[sec_ext_vals], 4);
+  ASSERT_EQ(id, tf_section::kExtVals);
   std::uint64_t bytes = 0;
   std::uint64_t count = 0;
-  std::memcpy(&bytes, &s[sec_side_vals + 16], 8);
-  std::memcpy(&count, &s[sec_side_vals + 24], 8);
+  std::memcpy(&bytes, &s[sec_ext_vals + 16], 8);
+  std::memcpy(&count, &s[sec_ext_vals + 24], 8);
   ASSERT_GT(count, 0u);
   bytes -= sizeof(value_t);
   count -= 1;
-  std::memcpy(&s[sec_side_vals + 16], &bytes, 8);
-  std::memcpy(&s[sec_side_vals + 24], &count, 8);
+  std::memcpy(&s[sec_ext_vals + 16], &bytes, 8);
+  std::memcpy(&s[sec_ext_vals + 24], &count, 8);
   write_bytes(path, s);
   // Even the cheapest load (no hash check, no deep validation) must reject.
   EXPECT_THROW(map_tile_matrix_file(path, false, false), std::runtime_error);

@@ -375,6 +375,24 @@ TEST(ServeProtocol, MalformedAndUnknownRequestsFailSoftly) {
   EXPECT_TRUE(ok(parse(server.handle_line("{\"op\":\"ping\"}"))));
 }
 
+TEST(ServeProtocol, LoadErrorForAnUnparsableFileStaysShort) {
+  // A 1,000,000-byte upload with no newline reaches the Matrix Market
+  // parser as one banner line; the load error quotes only its prefix.
+  const std::string path = "/tmp/tilespmspv_serve_long_line.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(1000000, 'x');
+  }
+  Server server({});
+  const std::string reply = server.handle_line(
+      "{\"op\":\"load\",\"path\":\"" + path + "\",\"alias\":\"big\"}");
+  EXPECT_FALSE(ok(parse(reply)));
+  EXPECT_NE(reply.find("bad banner"), std::string::npos) << reply;
+  EXPECT_LT(reply.size(), 512u);
+  EXPECT_TRUE(ok(parse(server.handle_line("{\"op\":\"ping\"}"))));
+  std::remove(path.c_str());
+}
+
 TEST(ServeProtocol, StatsExposeBatchAndStoreCounters) {
   ServeConfig cfg;
   cfg.batch_k = 64;

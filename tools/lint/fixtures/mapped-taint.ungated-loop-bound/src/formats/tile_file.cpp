@@ -1,4 +1,4 @@
-// Seeded violation: the PR 9 ungated side_vals read. The header's edge
+// Seeded violation: the PR 9 ungated side-value read. The header's edge
 // count comes straight from mapped bytes and drives a loop over the side
 // array without ever being bounded against the file size.
 #include <cstdint>
@@ -8,10 +8,10 @@ struct TileFileHeader {
   std::uint64_t side_nnz = 0;  // read from the mapped header, never checked
 };
 
-double sum_side_vals(const TileFileHeader& h, const double* side_vals) {
+double sum_ext_vals(const TileFileHeader& h, const double* ext_vals) {
   double acc = 0.0;
   for (std::uint64_t i = 0; i < h.side_nnz; ++i) {
-    acc += side_vals[i];
+    acc += ext_vals[i];
   }
   return acc;
 }
