@@ -43,9 +43,19 @@ namespace {
 // Invariants between runs (and between levels, where noted):
 //   - x and y are all-zero (restored sparsely through the slot lists);
 //   - slot_flag is all-zero (cleared while merging produced slots);
-//   - the produced buckets are empty;
+//   - the produced buckets are empty and their tallies zero;
 // only the visited mask m is dense state, cleared once per run.
 // ---------------------------------------------------------------------
+
+// What one pool slot produced during a level: the y words it registered
+// and, for the row-owned kernels that tally in-task, how many vertices it
+// leveled. One cache line per slot, so appends by different slots never
+// write the same line.
+struct alignas(64) SlotOutput {
+  std::vector<index_t> words;
+  index_t discovered = 0;
+};
+
 template <int NT>
 struct BfsScratch {
   BitVector<NT> x;  // current frontier
@@ -53,15 +63,15 @@ struct BfsScratch {
   BitVector<NT> y;  // next frontier
   std::vector<index_t> slots;       // non-empty word slots of x
   std::vector<index_t> next_slots;  // non-empty word slots of y
-  // Output-word registration: slot_flag[s] is set the first time a kernel
-  // produces bits in y.words[s]; the producing task appends s to its pool
-  // slot's bucket, so the merged buckets list every produced word exactly
-  // once without any re-scan of y.
+  // Output-word registration for Push-CSC, where several tasks can hit the
+  // same y word: slot_flag[s] is set the first time a task produces bits
+  // in y.words[s], and that task appends s to its pool slot's bucket, so
+  // the merged buckets list every produced word exactly once without any
+  // re-scan of y. The row-owned kernels append their own rows directly.
   std::vector<std::uint8_t> slot_flag;
-  std::vector<std::vector<index_t>> produced;  // one bucket per pool slot
-  // Reused weighted-chunk boundaries (Push-CSC frontier slots, side pass).
+  std::vector<SlotOutput> produced;  // one per pool slot
+  // Reused weighted-chunk boundaries of the Push-CSC frontier slots.
   std::vector<index_t> k1_bounds;
-  std::vector<index_t> side_bounds;
 
   // Cached shard partition of the matrix-driven chunk list (NUMA-sharded
   // pools): rebuilt when the chunk list identity or shard count changes.
@@ -90,33 +100,77 @@ struct BfsScratch {
 template <int NT>
 inline constexpr int kHitsKernelThreshold = NT / 8;
 
+/// Runs body(c, slot) for every chunk c in [0, nchunks), where `slot`
+/// indexes the per-slot outputs. A loop with fewer chunks than the pool
+/// has threads runs on the calling thread as slot 0: splitting it would
+/// leave threads idle anyway, and handing chunks to other cores moves the
+/// y, m and slot_flag lines they write between caches, which costs more
+/// than the loop itself on the tiny levels of high-diameter graphs.
+template <typename Body>
+void for_each_chunk(ThreadPool& p, index_t nchunks, Body&& body) {
+  if (nchunks < static_cast<index_t>(p.size())) {
+    for (index_t c = 0; c < nchunks; ++c) body(c, std::size_t{0});
+    return;
+  }
+  parallel_for(
+      nchunks,
+      [&](index_t c) {
+        body(c, static_cast<std::size_t>(ThreadPool::scratch_slot()));
+      },
+      &p, /*chunk=*/1);
+}
+
+/// Merges `bits` into y word `s` from a task that does not own it: the
+/// relaxed read keeps the common already-produced case off the locked
+/// path, and the first producer of the word registers it in `out`.
+template <int NT>
+void produce_shared(BfsScratch<NT>& ws, index_t s, bitword_t<NT> bits,
+                    std::vector<index_t>& out) {
+  if ((atomic_load(&ws.y.words[s]) & bits) != bits) {
+    atomic_or(&ws.y.words[s], bits);
+  }
+  if (atomic_load(&ws.slot_flag[s]) == 0 &&
+      !atomic_test_and_set(&ws.slot_flag[s])) {
+    out.push_back(s);
+  }
+}
+
 // ---------------------------------------------------------------------
 // K1: Push-CSC (paper Alg. 5). Vector-driven: every non-empty frontier
 // word walks its tile column in the CSC form; the OR of the column masks
 // of its set bits is the contribution to the output tile row, masked by
 // the visited vector and merged with an atomic OR (several frontier tiles
-// can hit the same output tile row). Frontier slots are cut into chunks
-// of roughly equal column weight (conversion-time csc_col_weight), so one
+// can hit the same output tile row). The same task then relaxes its
+// frontier bits' extracted out-edges through the source-indexed side
+// list. Frontier slots are cut into chunks of roughly equal work (the
+// conversion-time csc_col_weight plus the slot's side out-degree), so one
 // hub column cannot serialize the level.
 // ---------------------------------------------------------------------
 template <int NT>
 void kernel_push_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
-                     ThreadPool* pool) {
+                     ThreadPool& p) {
   using Word = bitword_t<NT>;
   const std::vector<index_t>& slots = ws.slots;
+  const bool has_side = !g.side_dst.empty();
   build_weighted_chunks_into(
       ws.k1_bounds, static_cast<index_t>(slots.size()), kChunkTargetWork,
       [&](index_t i) {
-        return g.csc_col_weight.empty()
-                   ? kChunkTargetWork / 4  // hand-built graph: 4-slot chunks
-                   : g.csc_col_weight[slots[i]];
+        const index_t s = slots[i];
+        offset_t w = g.csc_col_weight.empty()
+                         ? kChunkTargetWork / 4  // hand-built graph
+                         : g.csc_col_weight[s];
+        if (has_side) {
+          w += g.side_ptr[std::min<index_t>((s + 1) * NT, g.n)] -
+               g.side_ptr[s * NT];
+        }
+        return w;
       });
-  parallel_for(
-      static_cast<index_t>(ws.k1_bounds.size()) - 1,
-      [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
+  for_each_chunk(
+      p, static_cast<index_t>(ws.k1_bounds.size()) - 1,
+      [&](index_t c, std::size_t slot) {
+        std::vector<index_t>& out_slots = ws.produced[slot].words;
         std::uint64_t tiles_visited = 0;
+        std::uint64_t side_edges = 0;
         for (index_t si = ws.k1_bounds[c]; si < ws.k1_bounds[c + 1]; ++si) {
           const index_t s = slots[si];
           const Word xw = ws.x.words[s];
@@ -145,17 +199,25 @@ void kernel_push_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
             }
             const Word sum =
                 contrib & static_cast<Word>(~ws.m.words[blk_y_rowid]);
-            if (sum != 0) {
-              atomic_or(&ws.y.words[blk_y_rowid], sum);
-              if (!atomic_test_and_set(&ws.slot_flag[blk_y_rowid])) {
-                out_slots.push_back(blk_y_rowid);
+            if (sum != 0) produce_shared(ws, blk_y_rowid, sum, out_slots);
+          }
+          if (!has_side) continue;
+          for_each_set_bit(xw, [&](int b) {
+            const index_t u = s * NT + b;
+            side_edges +=
+                static_cast<std::uint64_t>(g.side_ptr[u + 1] - g.side_ptr[u]);
+            for (offset_t k = g.side_ptr[u]; k < g.side_ptr[u + 1]; ++k) {
+              const index_t dst = g.side_dst[k];
+              if (!ws.m.test(dst)) {
+                produce_shared(ws, dst / NT, msb_bit<Word>(dst % NT),
+                               out_slots);
               }
             }
-          }
+          });
         }
         obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
-      },
-      pool, /*chunk=*/1);
+        obs::counter_add(obs::Counter::kBfsSideEdges, side_edges);
+      });
 }
 
 /// Matrix-driven dispatch boundaries: the conversion-time weighted chunks
@@ -200,187 +262,164 @@ const std::vector<index_t>& csr_shard_bounds(
   return ws.shard_bounds;
 }
 
-/// Dispatches chunk_body over [0, nchunks): shard-aware when the pool is
-/// NUMA-sharded, the plain claim loop otherwise.
-template <int NT, typename Body>
-void dispatch_csr_chunks(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
-                         const std::vector<index_t>& bounds, ThreadPool* pool,
-                         Body&& chunk_body) {
+/// Runs row_body(tr, unvisited, tiles_visited, side_edges) over every tile
+/// row with unvisited vertices, one task per chunk of `bounds`: shard-aware
+/// when the pool is NUMA-sharded, through for_each_chunk otherwise. Each
+/// task owns its tile rows, so row_body returns the row's newly reached
+/// bits and this wrapper commits them in place —
+/// y word, visited word, levels and the slot's tally — with plain writes.
+/// No task reads another row's y or m word during the level (the row
+/// kernels test the frontier x, never m, outside their own rows), so the
+/// level tally needs no second loop.
+template <int NT, typename RowBody>
+void run_row_owned(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
+                   ThreadPool& p, index_t* levels, index_t level,
+                   RowBody&& row_body) {
+  using Word = bitword_t<NT>;
+  std::vector<index_t> fallback;
+  const std::vector<index_t>& bounds = csr_bounds(g, fallback);
+  const auto chunk_body = [&](index_t c, std::size_t slot) {
+    SlotOutput& out = ws.produced[slot];
+    std::uint64_t tiles_visited = 0;
+    std::uint64_t side_edges = 0;
+    for (index_t tr = bounds[c]; tr < bounds[c + 1]; ++tr) {
+      const Word unvisited =
+          static_cast<Word>(~ws.m.words[tr]) & ws.m.valid_mask(tr);
+      if (unvisited == 0) continue;  // whole tile row already done
+      const Word found = row_body(tr, unvisited, tiles_visited, side_edges);
+      if (found == 0) continue;
+      ws.y.words[tr] = found;
+      ws.m.words[tr] |= found;
+      for_each_set_bit(found, [&](int b) { levels[tr * NT + b] = level; });
+      out.discovered += static_cast<index_t>(popcount(found));
+      out.words.push_back(tr);
+    }
+    obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
+    obs::counter_add(obs::Counter::kBfsSideEdges, side_edges);
+    obs::shard_add_tiles(ThreadPool::current_shard(), tiles_visited);
+  };
   const auto nchunks = static_cast<index_t>(bounds.size()) - 1;
-  ThreadPool& p = pool ? *pool : ThreadPool::shared();
-  if (p.num_shards() > 1 && nchunks > 1) {
+  if (p.num_shards() > 1 && nchunks >= static_cast<index_t>(p.size())) {
     const std::vector<index_t>& sb =
         csr_shard_bounds(g, ws, bounds, p.num_shards());
     p.parallel_shard_ranges(sb, 1, [&](index_t begin, index_t end) {
-      for (index_t c = begin; c < end; ++c) chunk_body(c);
+      const auto slot = static_cast<std::size_t>(ThreadPool::scratch_slot());
+      for (index_t c = begin; c < end; ++c) chunk_body(c, slot);
     });
   } else {
-    parallel_for(nchunks, chunk_body, pool, /*chunk=*/1);
+    for_each_chunk(p, nchunks, chunk_body);
   }
+}
+
+/// Extracted in-edges of the rows `rows` of tile row tr: the bits of the
+/// rows with an in-neighbor in the frontier x. Each row stops at its first
+/// hit; `examined` counts the edges read.
+template <int NT>
+bitword_t<NT> side_in_hits(const BitTileGraph<NT>& g, const BitVector<NT>& x,
+                           index_t tr, bitword_t<NT> rows,
+                           std::uint64_t& examined) {
+  using Word = bitword_t<NT>;
+  const index_t r0 = tr * NT;
+  if (rows == 0 || g.side_src.empty() ||
+      g.side_in_ptr[std::min<index_t>(r0 + NT, g.n)] == g.side_in_ptr[r0]) {
+    return 0;
+  }
+  Word hits = 0;
+  for_each_set_bit(rows, [&](int lr) {
+    const index_t r = r0 + lr;
+    for (offset_t e = g.side_in_ptr[r]; e < g.side_in_ptr[r + 1]; ++e) {
+      ++examined;
+      if (x.test(g.side_src[e])) {
+        hits |= msb_bit<Word>(lr);
+        break;
+      }
+    }
+  });
+  return hits;
 }
 
 // ---------------------------------------------------------------------
 // K2: Push-CSR (paper Alg. 6). Matrix-driven: one task per tile row; every
 // tile whose frontier word is non-empty tests each still-unvisited local
-// row against the frontier word (AND) and accumulates hits (OR). No
-// atomics: each tile row is owned by exactly one task.
+// row against the frontier word (AND) and accumulates hits (OR). The rows
+// still unreached then test their extracted in-edges. No atomics: each
+// tile row is owned by exactly one task.
 // ---------------------------------------------------------------------
 template <int NT>
 void kernel_push_csr(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
-                     ThreadPool* pool) {
+                     ThreadPool& p, index_t* levels, index_t level) {
   using Word = bitword_t<NT>;
-  std::vector<index_t> fallback;
-  const std::vector<index_t>& bounds = csr_bounds(g, fallback);
-  dispatch_csr_chunks(
-      g, ws, bounds, pool,
-      [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
-        std::uint64_t tiles_visited = 0;
-        for (index_t tr = bounds[c]; tr < bounds[c + 1]; ++tr) {
-          const Word unvisited =
-              static_cast<Word>(~ws.m.words[tr]) & ws.m.valid_mask(tr);
-          if (unvisited == 0) continue;  // whole tile row already done
-          Word out = 0;
-          for (offset_t t = g.csr_tile_ptr[tr]; t < g.csr_tile_ptr[tr + 1];
-               ++t) {
-            const Word xw = ws.x.words[g.csr_tile_col[t]];
-            if (xw == 0) continue;  // empty frontier tile: skip payload
-            // Restrict to rows that are unvisited, not already found, and
-            // actually present in this tile (summary word).
-            const Word remaining =
-                unvisited & static_cast<Word>(~out) & g.csr_row_summary[t];
-            if (remaining == 0) continue;
-            ++tiles_visited;
-            const Word* row_masks =
-                &g.csr_masks[static_cast<std::size_t>(t) * NT];
-            if (popcount(remaining) >= kHitsKernelThreshold<NT>) {
-              out |= static_cast<Word>(bitk::and_broadcast_hits(row_masks, xw) &
-                                       remaining);
-            } else {
-              for_each_set_bit(remaining, [&](int lr) {
-                if (row_masks[lr] & xw) out |= msb_bit<Word>(lr);
-              });
-            }
-          }
-          if (out != 0) {
-            ws.y.words[tr] |= out;
-            // Tile row tr is owned by this task and the side pass has not
-            // started: a plain flag write registers the produced word.
-            ws.slot_flag[tr] = 1;
-            out_slots.push_back(tr);
-          }
-        }
-        obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
-        obs::shard_add_tiles(ThreadPool::current_shard(), tiles_visited);
-      });
+  run_row_owned(g, ws, p, levels, level,
+                [&](index_t tr, Word unvisited, std::uint64_t& tiles_visited,
+                    std::uint64_t& side_edges) {
+    Word out = 0;
+    for (offset_t t = g.csr_tile_ptr[tr]; t < g.csr_tile_ptr[tr + 1]; ++t) {
+      const Word xw = ws.x.words[g.csr_tile_col[t]];
+      if (xw == 0) continue;  // empty frontier tile: skip payload
+      // Restrict to rows that are unvisited, not already found, and
+      // actually present in this tile (summary word).
+      const Word remaining =
+          unvisited & static_cast<Word>(~out) & g.csr_row_summary[t];
+      if (remaining == 0) continue;
+      ++tiles_visited;
+      const Word* row_masks = &g.csr_masks[static_cast<std::size_t>(t) * NT];
+      if (popcount(remaining) >= kHitsKernelThreshold<NT>) {
+        out |= static_cast<Word>(bitk::and_broadcast_hits(row_masks, xw) &
+                                 remaining);
+      } else {
+        for_each_set_bit(remaining, [&](int lr) {
+          if (row_masks[lr] & xw) out |= msb_bit<Word>(lr);
+        });
+      }
+    }
+    return static_cast<Word>(
+        out | side_in_hits(g, ws.x, tr, unvisited & static_cast<Word>(~out),
+                           side_edges));
+  });
 }
 
 // ---------------------------------------------------------------------
 // K3: Pull-CSC (paper Alg. 7). Unvisited-driven: each still-unvisited
-// vertex scans its in-neighborhood masks against the visited vector and
-// stops at the first hit (the paper's warp-synchronized early exit).
-// Reads the row-oriented masks; identical to the paper's A1 columns on
-// undirected graphs (see header note).
+// vertex scans its in-neighborhood masks against the frontier and stops at
+// the first hit (the paper's warp-synchronized early exit), then its
+// extracted in-edges. Testing the frontier rather than the visited mask
+// finds the same vertices — a visited in-neighbor of an unvisited vertex
+// can only be on the frontier, or the vertex would have been reached
+// earlier — and leaves m to the row owners. Reads the row-oriented masks;
+// identical to the paper's A1 columns on undirected graphs (see header
+// note).
 // ---------------------------------------------------------------------
 template <int NT>
 void kernel_pull_csc(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
-                     ThreadPool* pool) {
+                     ThreadPool& p, index_t* levels, index_t level) {
   using Word = bitword_t<NT>;
-  std::vector<index_t> fallback;
-  const std::vector<index_t>& bounds = csr_bounds(g, fallback);
-  dispatch_csr_chunks(
-      g, ws, bounds, pool,
-      [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
-        std::uint64_t tiles_visited = 0;
-        for (index_t tr = bounds[c]; tr < bounds[c + 1]; ++tr) {
-          Word remaining =
-              static_cast<Word>(~ws.m.words[tr]) & ws.m.valid_mask(tr);
-          if (remaining == 0) continue;
-          Word out = 0;
-          for (offset_t t = g.csr_tile_ptr[tr];
-               t < g.csr_tile_ptr[tr + 1] && remaining != 0; ++t) {
-            const Word mw = ws.m.words[g.csr_tile_col[t]];
-            if (mw == 0) continue;
-            const Word cand = remaining & g.csr_row_summary[t];
-            if (cand == 0) continue;
-            ++tiles_visited;
-            const Word* row_masks =
-                &g.csr_masks[static_cast<std::size_t>(t) * NT];
-            Word found;
-            if (popcount(cand) >= kHitsKernelThreshold<NT>) {
-              found = bitk::and_broadcast_hits(row_masks, mw) & cand;
-            } else {
-              found = 0;
-              for_each_set_bit(cand, [&](int lu) {
-                if (row_masks[lu] & mw) found |= msb_bit<Word>(lu);
-              });
-            }
-            out |= found;
-            remaining &= static_cast<Word>(~found);  // early exit per vertex
-          }
-          if (out != 0) {
-            ws.y.words[tr] |= out;
-            ws.slot_flag[tr] = 1;
-            out_slots.push_back(tr);
-          }
-        }
-        obs::counter_add(obs::Counter::kBfsTilesVisited, tiles_visited);
-        obs::shard_add_tiles(ThreadPool::current_shard(), tiles_visited);
-      });
-}
-
-// ---------------------------------------------------------------------
-// Side pass for the extracted very-sparse part: frontier-driven expansion
-// over the source-indexed edge list, merged into the same output vector.
-// Walks the frontier slot list (not every x word) and chunks it by side
-// degree, so both the scan and the schedule cost are proportional to the
-// frontier's extracted out-edges rather than to the whole vector.
-// ---------------------------------------------------------------------
-template <int NT>
-void side_edges_pass(const BitTileGraph<NT>& g, BfsScratch<NT>& ws,
-                     ThreadPool* pool) {
-  using Word = bitword_t<NT>;
-  if (g.side_dst.empty()) return;
-  const std::vector<index_t>& slots = ws.slots;
-  build_weighted_chunks_into(
-      ws.side_bounds, static_cast<index_t>(slots.size()), kChunkTargetWork,
-      [&](index_t i) {
-        const index_t lo = slots[i] * NT;
-        const index_t hi = std::min<index_t>(lo + NT, g.n);
-        return offset_t{1} + g.side_ptr[hi] - g.side_ptr[lo];
-      });
-  parallel_for(
-      static_cast<index_t>(ws.side_bounds.size()) - 1,
-      [&](index_t c) {
-        std::vector<index_t>& out_slots =
-            ws.produced[static_cast<std::size_t>(ThreadPool::scratch_slot())];
-        std::uint64_t relaxed = 0;
-        for (index_t si = ws.side_bounds[c]; si < ws.side_bounds[c + 1];
-             ++si) {
-          const index_t s = slots[si];
-          const Word xw = ws.x.words[s];
-          for_each_set_bit(xw, [&](int b) {
-            const index_t u = s * NT + b;
-            relaxed +=
-                static_cast<std::uint64_t>(g.side_ptr[u + 1] - g.side_ptr[u]);
-            for (offset_t k = g.side_ptr[u]; k < g.side_ptr[u + 1]; ++k) {
-              const index_t dst = g.side_dst[k];
-              if (!ws.m.test(dst)) {
-                const index_t ds = dst / NT;
-                atomic_or(&ws.y.words[ds], msb_bit<Word>(dst % NT));
-                if (!atomic_test_and_set(&ws.slot_flag[ds])) {
-                  out_slots.push_back(ds);
-                }
-              }
-            }
-          });
-        }
-        obs::counter_add(obs::Counter::kBfsSideEdges, relaxed);
-      },
-      pool, /*chunk=*/1);
+  run_row_owned(g, ws, p, levels, level,
+                [&](index_t tr, Word unvisited, std::uint64_t& tiles_visited,
+                    std::uint64_t& side_edges) {
+    Word remaining = unvisited;
+    for (offset_t t = g.csr_tile_ptr[tr];
+         t < g.csr_tile_ptr[tr + 1] && remaining != 0; ++t) {
+      const Word xw = ws.x.words[g.csr_tile_col[t]];
+      if (xw == 0) continue;
+      const Word cand = remaining & g.csr_row_summary[t];
+      if (cand == 0) continue;
+      ++tiles_visited;
+      const Word* row_masks = &g.csr_masks[static_cast<std::size_t>(t) * NT];
+      Word found;
+      if (popcount(cand) >= kHitsKernelThreshold<NT>) {
+        found = bitk::and_broadcast_hits(row_masks, xw) & cand;
+      } else {
+        found = 0;
+        for_each_set_bit(cand, [&](int lu) {
+          if (row_masks[lu] & xw) found |= msb_bit<Word>(lu);
+        });
+      }
+      remaining &= static_cast<Word>(~found);  // early exit per vertex
+    }
+    remaining &= static_cast<Word>(
+        ~side_in_hits(g, ws.x, tr, remaining, side_edges));
+    return static_cast<Word>(unvisited & ~remaining);
+  });
 }
 
 template <int NT>
@@ -443,18 +482,17 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
     switch (kernel) {
       case BfsKernel::kPushCsc:
         obs::counter_add(obs::Counter::kBfsIterPushCsc, 1);
-        kernel_push_csc(g, ws, pool);
+        kernel_push_csc(g, ws, p);
         break;
       case BfsKernel::kPushCsr:
         obs::counter_add(obs::Counter::kBfsIterPushCsr, 1);
-        kernel_push_csr(g, ws, pool);
+        kernel_push_csr(g, ws, p, result.levels.data(), level);
         break;
       case BfsKernel::kPullCsc:
         obs::counter_add(obs::Counter::kBfsIterPullCsc, 1);
-        kernel_pull_csc(g, ws, pool);
+        kernel_pull_csc(g, ws, p, result.levels.data(), level);
         break;
     }
-    side_edges_pass(g, ws, pool);
 
     // Merge the produced-slot buckets into the next slot list and clear
     // the registration flags. For dense levels a SIMD scan of y rebuilds
@@ -462,46 +500,60 @@ BfsResult run_bfs(const BitTileGraph<NT>& g, index_t source,
     // cheaper than touching many scattered bucket entries twice).
     ws.next_slots.clear();
     std::size_t produced_total = 0;
-    for (const std::vector<index_t>& bucket : ws.produced) {
-      produced_total += bucket.size();
+    for (const SlotOutput& out : ws.produced) {
+      produced_total += out.words.size();
     }
     if (produced_total >= static_cast<std::size_t>(ws.y.num_words()) / 8) {
       ws.next_slots.resize(static_cast<std::size_t>(ws.y.num_words()));
       const index_t k = bitk::collect_nonzero(
           ws.y.words.data(), ws.y.num_words(), 0, ws.next_slots.data());
       ws.next_slots.resize(static_cast<std::size_t>(k));
-      for (std::vector<index_t>& bucket : ws.produced) {
-        for (index_t s : bucket) ws.slot_flag[s] = 0;
-        bucket.clear();
+      for (SlotOutput& out : ws.produced) {
+        for (index_t s : out.words) ws.slot_flag[s] = 0;
+        out.words.clear();
       }
     } else {
-      for (std::vector<index_t>& bucket : ws.produced) {
-        for (index_t s : bucket) {
+      for (SlotOutput& out : ws.produced) {
+        for (index_t s : out.words) {
           ws.slot_flag[s] = 0;
           ws.next_slots.push_back(s);
         }
-        bucket.clear();
+        out.words.clear();
       }
     }
     const auto produced_words = static_cast<index_t>(ws.next_slots.size());
     obs::counter_add(obs::Counter::kBfsProducedWords,
                      static_cast<std::uint64_t>(produced_words));
 
-    // Incremental level tally: assign levels and fold the new frontier
-    // into the visited mask over the produced words only — no re-scan of
-    // the full vectors. Slots are unique (flag-deduplicated), so chunks
-    // touch disjoint words and the only shared state is the reduction sum.
-    const index_t discovered = parallel_reduce<index_t>(
-        produced_words, index_t{0},
-        [&](index_t i) {
-          const index_t s = ws.next_slots[i];
-          const Word w = ws.y.words[s];
-          for_each_set_bit(w,
-                           [&](int b) { result.levels[s * NT + b] = level; });
-          ws.m.words[s] |= w;
-          return static_cast<index_t>(popcount(w));
-        },
-        [](index_t a, index_t b) { return a + b; }, pool, /*chunk=*/64);
+    // Push-CSC level tally: assign levels and fold the new frontier into
+    // the visited mask over the produced words only — no re-scan of the
+    // full vectors. It needs the barrier after the kernel, since any task
+    // may have added bits to any word. Slots are unique (flag-deduplicated),
+    // so chunks touch disjoint words. The row-owned kernels tallied their
+    // rows in-task.
+    if (kernel == BfsKernel::kPushCsc) {
+      for_each_chunk(
+          p, ceil_div<index_t>(produced_words, kDefaultChunk),
+          [&](index_t c, std::size_t slot) {
+            const index_t end =
+                std::min<index_t>((c + 1) * kDefaultChunk, produced_words);
+            index_t found = 0;
+            for (index_t i = c * kDefaultChunk; i < end; ++i) {
+              const index_t s = ws.next_slots[i];
+              const Word w = ws.y.words[s];
+              for_each_set_bit(
+                  w, [&](int b) { result.levels[s * NT + b] = level; });
+              ws.m.words[s] |= w;
+              found += static_cast<index_t>(popcount(w));
+            }
+            ws.produced[slot].discovered += found;
+          });
+    }
+    index_t discovered = 0;
+    for (SlotOutput& out : ws.produced) {
+      discovered += out.discovered;
+      out.discovered = 0;
+    }
 
     if (cfg.record_iterations) {
       BfsIterationLog log{level,

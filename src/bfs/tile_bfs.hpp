@@ -11,9 +11,15 @@
 //
 // The tile size follows the paper's rule: order > 10,000 -> 64×64 tiles,
 // otherwise 32×32 (§3.4). Very sparse tiles are extracted to an edge list
-// traversed by a separate edge-parallel pass each iteration (the paper
-// delegates that part to GSwitch; the pass here implements the equivalent
-// frontier expansion directly and merges into the same output vector).
+// (the paper delegates that part to GSwitch). Here each kernel finishes it
+// in the same tasks: Push-CSC relaxes its frontier bits' extracted
+// out-edges, and Push-CSR / Pull-CSC test each still-unvisited row's
+// extracted in-edges in the task that owns the row.
+//
+// A level is one pool dispatch. The row-owned kernels also commit their
+// rows' levels and visited bits in-task; only Push-CSC, whose tasks share
+// output words, needs a separate tally over the produced words. A loop
+// with fewer chunks than the pool has threads runs on the calling thread.
 //
 // Directed-graph note: the paper stores the CSC form A1 and, for undirected
 // graphs, observes A1 == A2. Our pull kernel reads the row-oriented masks

@@ -3,8 +3,9 @@
 // structure instead of plain CSR. Edge scans go tile by tile — each
 // non-empty tile's row masks drive the per-source word merges, so the
 // batch shares both the edge traversal (MS-BFS's win) and the tiled
-// locality (the paper's win). The extracted very-sparse part is expanded
-// through the source-indexed side list, as in single-source TileBFS.
+// locality (the paper's win). The task that owns a tile row also gathers
+// its rows' extracted in-edges through the destination-indexed side list,
+// so every write to `next` comes from the row's owner and needs no atomic.
 //
 // The graph follows BitTileGraph's convention (A[i][j] != 0 means edge
 // j -> i), so traversing a CSR whose row u lists u's out-edges, as ms_bfs
@@ -12,12 +13,12 @@
 // rounds match ms_bfs exactly.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <vector>
 
 #include "apps/ms_bfs.hpp"
-#include "parallel/atomics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tile/bit_tile_graph.hpp"
 #include "util/types.hpp"
@@ -58,7 +59,8 @@ MsBfsResult tile_ms_bfs(const BitTileGraph<NT>& g,
   for (index_t level = 1; frontier_nonempty; ++level) {
     ++out.rounds;
     // Expand tile rows: for tile (tr, tc), local row lr gains the union
-    // of visit words of the frontier vertices among its neighbors in tc.
+    // of visit words of the frontier vertices among its neighbors in tc,
+    // then of its extracted in-neighbors.
     parallel_for(
         g.tile_n,
         [&](index_t tr) {
@@ -82,27 +84,19 @@ MsBfsResult tile_ms_bfs(const BitTileGraph<NT>& g,
                   if (fresh != 0) next[v] |= fresh;  // tile row owned by task
                 });
           }
+          if (g.side_src.empty()) return;
+          const index_t v_end = std::min<index_t>((tr + 1) * NT, g.n);
+          for (index_t v = tr * NT; v < v_end; ++v) {
+            std::uint64_t gather = 0;
+            for (offset_t e = g.side_in_ptr[v]; e < g.side_in_ptr[v + 1];
+                 ++e) {
+              gather |= visit[g.side_src[e]];
+            }
+            const std::uint64_t fresh = gather & ~seen[v];
+            if (fresh != 0) next[v] |= fresh;
+          }
         },
         pool, /*chunk=*/16);
-    // Extracted side edges (frontier-driven).
-    if (!g.side_dst.empty()) {
-      parallel_for(
-          g.tile_n,
-          [&](index_t s_tile) {
-            const Word fw = frontier_tiles[s_tile];
-            if (fw == 0) return;
-            for_each_set_bit(fw, [&](int b) {
-              const index_t u = s_tile * NT + b;
-              const std::uint64_t w = visit[u];
-              for (offset_t e = g.side_ptr[u]; e < g.side_ptr[u + 1]; ++e) {
-                const index_t dst = g.side_dst[e];
-                const std::uint64_t fresh = w & ~atomic_load(&seen[dst]);
-                if (fresh != 0) atomic_or(&next[dst], fresh);
-              }
-            });
-          },
-          pool, /*chunk=*/32);
-    }
 
     // Fold: commit discoveries, rebuild the frontier structures.
     frontier_nonempty = false;

@@ -117,6 +117,8 @@ inline constexpr std::uint32_t kSidePtr = 10;
 inline constexpr std::uint32_t kSideDst = 11;
 inline constexpr std::uint32_t kCsrChunkPtr = 12;
 inline constexpr std::uint32_t kCscColWeight = 13;
+inline constexpr std::uint32_t kSideInPtr = 14;
+inline constexpr std::uint32_t kSideSrc = 15;
 }  // namespace tf_section
 
 /// FNV-1a-64 over a byte range, chainable through `seed` for streaming.
@@ -278,6 +280,8 @@ std::uint64_t write_bit_tile_graph_file(const std::string& path,
   w.add(ts::kSideDst, g.side_dst);
   w.add(ts::kCsrChunkPtr, g.csr_chunk_ptr);
   w.add(ts::kCscColWeight, g.csc_col_weight);
+  w.add(ts::kSideInPtr, g.side_in_ptr);
+  w.add(ts::kSideSrc, g.side_src);
   return w.write(path);
 }
 
@@ -317,14 +321,19 @@ BitTileGraph<NT> map_bit_tile_graph_file(const std::string& path,
   v.bind(ts::kSideDst, g.side_dst);
   v.copy(ts::kCsrChunkPtr, g.csr_chunk_ptr);
   v.bind(ts::kCscColWeight, g.csc_col_weight);
+  v.bind(ts::kSideInPtr, g.side_in_ptr);
+  v.bind(ts::kSideSrc, g.side_src);
   // Cheap structural gates even in the fast path: the pointer arrays must
   // have their expected lengths or the kernels would index out of bounds.
   // Both orientations are gated — the CSC kernels index csc_masks (or the
-  // mirror table) and the summaries just as hard as the CSR side.
+  // mirror table) and the summaries just as hard as the CSR side — and so
+  // are both side indexes, which must list the same number of edges.
   const std::size_t ntiles = g.csr_tile_col.size();
   if (g.csr_tile_ptr.size() != static_cast<std::size_t>(g.tile_n) + 1 ||
       g.csc_tile_ptr.size() != static_cast<std::size_t>(g.tile_n) + 1 ||
       g.side_ptr.size() != static_cast<std::size_t>(g.n) + 1 ||
+      g.side_in_ptr.size() != static_cast<std::size_t>(g.n) + 1 ||
+      g.side_src.size() != g.side_dst.size() ||
       g.csc_tile_row.size() != ntiles ||
       g.csr_masks.size() != ntiles * static_cast<std::size_t>(NT) ||
       (g.shared_masks

@@ -777,8 +777,9 @@ ValidationResult validate_packed_tile_matrix(const PM& m) {
 /// checked as CSR/CSC pairs, mask words clipped to the matrix edge (no
 /// set bit may fall outside [0, n) in either dimension), occupancy
 /// summaries recomputed, mirror indices (shared-mask mode) or transposed
-/// masks (materialized mode) verified against the CSR form, side edge
-/// list bounds, and the total edge count tied back to mask popcounts.
+/// masks (materialized mode) verified against the CSR form, both side
+/// edge indexes bounded and holding the same edge list, and the total edge
+/// count tied back to mask popcounts.
 template <typename G>
 ValidationResult validate_bit_tile_graph(const G& g) {
   using std::to_string;
@@ -1036,6 +1037,37 @@ ValidationResult validate_bit_tile_graph(const G& g) {
     return r;
   }
   if (!detail::check_index_range(r, g.side_dst, g.n, "side_dst")) return r;
+  if (!detail::check_ptr_array(r, g.side_in_ptr,
+                               static_cast<std::size_t>(g.n) + 1,
+                               static_cast<std::int64_t>(g.side_src.size()),
+                               "side_in_ptr")) {
+    return r;
+  }
+  if (!detail::check_index_range(r, g.side_src, g.n, "side_src")) return r;
+  if (g.side_src.size() != g.side_dst.size()) {
+    r.add("side_src/length",
+          to_string(g.side_src.size()) + " in-edges vs " +
+              to_string(g.side_dst.size()) + " out-edges");
+    return r;
+  }
+  // Both indexes must hold the same edge list. Walking destinations in
+  // order consumes every source's bucket front to back, which is the order
+  // from_csr writes them in.
+  {
+    std::vector<offset_t> cursor(g.side_ptr.begin(), g.side_ptr.end() - 1);
+    for (index_t v = 0; v < g.n; ++v) {
+      for (offset_t e = g.side_in_ptr[v]; e < g.side_in_ptr[v + 1]; ++e) {
+        const index_t u = g.side_src[e];
+        if (cursor[u] == g.side_ptr[u + 1] || g.side_dst[cursor[u]] != v) {
+          r.add("side_src/agreement",
+                "in-edge " + to_string(u) + " -> " + to_string(v) +
+                    " is not the next out-edge of " + to_string(u));
+          return r;
+        }
+        ++cursor[u];
+      }
+    }
+  }
   const std::int64_t total =
       mask_edges + static_cast<std::int64_t>(g.side_dst.size());
   if (static_cast<std::int64_t>(g.edges) != total) {

@@ -37,7 +37,7 @@ enum class Counter : int {
   kBfsIterPushCsc,      // BFS iterations run with the Push-CSC kernel
   kBfsIterPushCsr,      // BFS iterations run with the Push-CSR kernel
   kBfsIterPullCsc,      // BFS iterations run with the Pull-CSC kernel
-  kBfsSideEdges,        // extracted edges relaxed by the BFS side pass
+  kBfsSideEdges,        // extracted edges a BFS kernel examined
   kBfsFrontierWords,    // non-empty frontier words entering BFS iterations
   kBfsProducedWords,    // distinct output words produced by BFS iterations
   kBfsTilesVisited,     // tiles whose mask payload a BFS kernel touched

@@ -12,8 +12,9 @@
 // here so directed graphs also work.
 //
 // Tiles with at most `extract_threshold` edges are extracted into a plain
-// edge list traversed by a separate edge-parallel pass (the paper hands
-// this part to GSwitch; see bfs/tile_bfs.hpp).
+// edge list, indexed twice: by source for the frontier-driven kernel and
+// by destination for the kernels whose tasks own tile rows (the paper
+// hands this part to GSwitch; see bfs/tile_bfs.hpp).
 #pragma once
 
 #include <algorithm>
@@ -97,12 +98,19 @@ struct BitTileGraph {
            csc_mirror.size() * sizeof(offset_t);
   }
 
-  // Extracted very-sparse part, indexed by source vertex so the BFS side
-  // pass can expand only the frontier's edges: side_dst[side_ptr[u] ..
-  // side_ptr[u+1]) are the out-neighbors of u among extracted edges
-  // (A[dst][u] entries).
+  // Extracted very-sparse part, indexed once per direction over the same
+  // edge list:
+  //   - by source, for Push-CSC, which expands only the frontier's edges:
+  //     side_dst[side_ptr[u] .. side_ptr[u+1]) are the out-neighbors of u
+  //     among extracted edges (A[dst][u] entries);
+  //   - by destination, for the kernels whose tasks own tile rows
+  //     (Push-CSR, Pull-CSC, tile_ms_bfs): side_src[side_in_ptr[v] ..
+  //     side_in_ptr[v+1]) are the extracted in-neighbors of v, so a row's
+  //     owner finishes it without writing anyone else's output word.
   ArrayBuf<offset_t> side_ptr;  // length n + 1
   ArrayBuf<index_t> side_dst;
+  ArrayBuf<offset_t> side_in_ptr;  // length n + 1
+  ArrayBuf<index_t> side_src;
 
   offset_t side_edge_count() const {
     return static_cast<offset_t>(side_dst.size());
@@ -114,7 +122,8 @@ struct BitTileGraph {
   // [csr_chunk_ptr[c], csr_chunk_ptr[c+1]). The weight of a tile row is
   // one claim-loop iteration plus, per stored tile, the metadata charge
   // and the popcount of its row summary (set rows are what the kernels
-  // actually scan). Empty on hand-built graphs; the kernels fall back to
+  // actually scan), plus the row's extracted in-edges, which the same
+  // task finishes. Empty on hand-built graphs; the kernels fall back to
   // uniform chunks then.
   std::vector<index_t> csr_chunk_ptr;
 
@@ -250,18 +259,30 @@ struct BitTileGraph {
         },
         pool, /*chunk=*/1);
 
-    // Bucket the extracted edges by source (counting sort, range order ==
-    // the serial row-major insertion order).
-    g.side_ptr.assign(g.n + 1, 0);
+    // Index the extracted edges by destination (the range lists are in
+    // row order already, so their concatenation is side_src) and bucket
+    // them by source (counting sort, range order == the serial row-major
+    // insertion order).
     std::size_t total_extracted = 0;
     for (const auto& extracted : range_extracted) {
       total_extracted += extracted.size();
-      for (const auto& [src, dst] : extracted) {
-        ++g.side_ptr[src + 1];
+    }
+    g.side_in_ptr.assign(g.n + 1, 0);
+    g.side_src.resize(total_extracted);
+    g.side_ptr.assign(g.n + 1, 0);
+    g.side_dst.resize(total_extracted);
+    {
+      std::size_t k = 0;
+      for (const auto& extracted : range_extracted) {
+        for (const auto& [src, dst] : extracted) {
+          ++g.side_in_ptr[dst + 1];
+          ++g.side_ptr[src + 1];
+          g.side_src[k++] = src;
+        }
       }
     }
-    g.side_dst.resize(total_extracted);
     for (index_t v = 0; v < g.n; ++v) {
+      g.side_in_ptr[v + 1] += g.side_in_ptr[v];
       g.side_ptr[v + 1] += g.side_ptr[v];
     }
     {
@@ -297,8 +318,8 @@ struct BitTileGraph {
     return vb(csr_tile_ptr) + vb(csr_tile_col) + vb(csr_masks) +
            vb(csr_row_summary) + vb(csc_tile_ptr) + vb(csc_tile_row) +
            vb(csc_masks) + vb(csc_mirror) + vb(csc_col_summary) +
-           vb(side_ptr) + vb(side_dst) + vb(csr_chunk_ptr) +
-           vb(csc_col_weight);
+           vb(side_ptr) + vb(side_dst) + vb(side_in_ptr) + vb(side_src) +
+           vb(csr_chunk_ptr) + vb(csc_col_weight);
   }
 
   /// Moves the heavy arrays into `arena` (see TileMatrix::place).
@@ -315,6 +336,8 @@ struct BitTileGraph {
     arena_place_buf(*arena, csc_col_summary, pool);
     arena_place_buf(*arena, side_ptr, pool);
     arena_place_buf(*arena, side_dst, pool);
+    arena_place_buf(*arena, side_in_ptr, pool);
+    arena_place_buf(*arena, side_src, pool);
     arena_place_buf(*arena, csc_col_weight, pool);
     placed = arena->placement();
     storage = std::shared_ptr<const void>(arena, arena.get());
@@ -417,11 +440,13 @@ struct BitTileGraph {
   /// Builds the kernel scheduling metadata: weighted tile-row chunk
   /// boundaries for the matrix-driven kernels and per-column weights for
   /// the frontier-driven one. Weights count summary popcounts — the unit
-  /// of work the BFS kernels actually perform per tile.
+  /// of work the BFS kernels actually perform per tile; a tile row also
+  /// carries its extracted in-edges.
   void build_chunks(ThreadPool* pool) {
     csr_chunk_ptr = build_weighted_chunks(
         tile_n, kChunkTargetWork, [&](index_t tr) {
-          offset_t w = 1;
+          const index_t r_end = std::min<index_t>((tr + 1) * NT, n);
+          offset_t w = 1 + side_in_ptr[r_end] - side_in_ptr[tr * NT];
           for (offset_t t = csr_tile_ptr[tr]; t < csr_tile_ptr[tr + 1]; ++t) {
             w += kTileMetaWork + popcount(csr_row_summary[t]);
           }

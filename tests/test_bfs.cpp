@@ -12,6 +12,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/grid.hpp"
 #include "gen/rmat.hpp"
+#include "obs/counters.hpp"
 
 namespace tilespmspv {
 namespace {
@@ -173,6 +174,70 @@ TEST(TileBfs, DirectedGraphIsCorrect) {
   ThreadPool pool(2);
   EXPECT_EQ(dobfs(out_edges, a, 0, {}, &pool), expect);
   EXPECT_EQ(enterprise_bfs(out_edges, a, 0, {}, &pool), expect);
+}
+
+TEST(TileBfs, DirectedSideEdgesAcrossKernelsAndPools) {
+  // Sparse random digraph, large enough for 64-wide tiles and for the
+  // row-owned kernels to split into more chunks than the widest pool, so
+  // both the dispatched and the caller-run loops finish side edges: Push-
+  // CSC through the source index, Push-CSR / Pull-CSC through the
+  // destination index in the task that owns the row.
+  Coo<value_t> adj(12000, 12000);  // A[i][j] = edge j -> i
+  Prng rng(413);
+  for (index_t e = 0; e < 72000; ++e) {
+    const auto u = static_cast<index_t>(rng.next_below(12000));
+    const auto v = static_cast<index_t>(rng.next_below(12000));
+    if (u != v) adj.push(v, u, 1.0);
+  }
+  adj.sort_row_major();
+  adj.sum_duplicates();
+  const Csr<value_t> a = Csr<value_t>::from_coo(adj);
+  const Csr<value_t> out_edges = a.transpose();
+  const std::vector<index_t> sources{0, 4321, 11999};
+  std::vector<std::vector<index_t>> expect;
+  for (index_t src : sources) expect.push_back(serial_bfs(out_edges, src));
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    for (index_t extract : {2, 8}) {
+      for (unsigned mask : {1u, 2u, 4u}) {
+        TileBfsConfig cfg;
+        cfg.kernel_mask = mask;
+        cfg.extract_threshold = extract;
+        const TileBfs bfs(a, cfg, &pool);
+        ASSERT_GT(bfs.side_edge_count(), 0) << "extract=" << extract;
+        BfsWorkspace ws;
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          EXPECT_EQ(bfs.run(sources[i], ws).levels, expect[i])
+              << "threads=" << threads << " extract=" << extract
+              << " mask=" << mask << " src=" << sources[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(TileBfs, PathLevelsRunOnTheCallingThread) {
+  // Every level of a long path holds one or two frontier words, fewer
+  // chunks than a 4-thread pool has threads, so no loop is handed to the
+  // pool's workers.
+  if (!obs::counters_enabled()) GTEST_SKIP() << "counters compiled out";
+  const index_t n = 5000;
+  Coo<value_t> coo(n, n);
+  for (index_t i = 0; i + 1 < n; ++i) {
+    coo.push(i, i + 1, 1.0);
+    coo.push(i + 1, i, 1.0);
+  }
+  const Csr<value_t> g = Csr<value_t>::from_coo(coo);
+  ThreadPool pool(4);
+  const TileBfs bfs(g, {}, &pool);
+  BfsWorkspace ws;
+  const obs::CounterSnapshot before = obs::counters_snapshot();
+  const BfsResult r = bfs.run(0, ws);
+  const obs::CounterSnapshot d = obs::counters_snapshot() - before;
+  EXPECT_EQ(r.levels, serial_bfs(g, 0));
+  EXPECT_EQ(r.iterations.size(), static_cast<std::size_t>(n - 1));
+  EXPECT_EQ(d[obs::Counter::kPoolChunks], 0u);
+  EXPECT_EQ(d[obs::Counter::kPoolLoops], 0u);
 }
 
 TEST(TileBfs, TileSizeFollowsOrderRule) {

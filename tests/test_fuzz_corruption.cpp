@@ -394,6 +394,65 @@ TEST(FuzzCorruption, TileFileParallelArrayAttack) {
   std::remove(path.c_str());
 }
 
+TEST(FuzzCorruption, GraphSideIndexAttacks) {
+  // Directed attacks on the destination-indexed side list of a graph
+  // file. A shortened side_in_ptr keeps every per-section invariant, so
+  // the cheap length gate must catch it on the fastest load; an
+  // out-of-range side_src entry is only visible to deep validation.
+  const std::string path = "/tmp/tilespmspv_fuzz_ttlf_graph_side.bin";
+  const auto a = Csr<value_t>::from_coo(gen_erdos_renyi(200, 200, 0.015, 4208));
+  const auto g = BitTileGraph<16>::from_csr(a, 2);
+  ASSERT_GT(g.side_edge_count(), 0) << "fixture must extract some edges";
+  write_bit_tile_graph_file<16>(path, g);
+  const std::string base = read_bytes(path);
+
+  // Byte position of the section-table entry with `id`.
+  const auto entry_of = [&](std::uint32_t id) {
+    TileFileHeader h;
+    std::memcpy(&h, base.data(), sizeof(h));
+    for (std::uint32_t i = 0; i < h.section_count; ++i) {
+      const std::size_t at =
+          sizeof(TileFileHeader) + i * sizeof(TileFileSection);
+      std::uint32_t sid = 0;
+      std::memcpy(&sid, &base[at], sizeof(sid));
+      if (sid == id) return at;
+    }
+    ADD_FAILURE() << "no section " << id;
+    return std::size_t{0};
+  };
+
+  std::string s = base;
+  const std::size_t in_ptr = entry_of(tf_section::kSideInPtr);
+  std::uint64_t bytes = 0;
+  std::uint64_t count = 0;
+  std::memcpy(&bytes, &s[in_ptr + 16], 8);
+  std::memcpy(&count, &s[in_ptr + 24], 8);
+  bytes -= sizeof(offset_t);
+  count -= 1;
+  std::memcpy(&s[in_ptr + 16], &bytes, 8);
+  std::memcpy(&s[in_ptr + 24], &count, 8);
+  write_bytes(path, s);
+  EXPECT_THROW(map_bit_tile_graph_file<16>(path, false, false),
+               std::runtime_error)
+      << "truncated side_in_ptr";
+
+  s = base;
+  std::uint64_t off = 0;
+  std::memcpy(&off, &s[entry_of(tf_section::kSideSrc) + 8], 8);
+  const index_t out_of_range = g.n;
+  std::memcpy(&s[off], &out_of_range, sizeof(out_of_range));
+  write_bytes(path, s);
+  EXPECT_THROW(map_bit_tile_graph_file<16>(path, false, true),
+               std::runtime_error)
+      << "side_src entry out of range";
+
+  // The unmutated file passes the strictest load.
+  write_bytes(path, base);
+  EXPECT_EQ(map_bit_tile_graph_file<16>(path, true, true).side_src.size(),
+            g.side_src.size());
+  std::remove(path.c_str());
+}
+
 TEST(FuzzCorruption, TileFileHeaderSniffAttacks) {
   // read_tile_file_header is the dispatch sniffer: TileBfs switches on nt
   // and the CLI prints dims before any mapping-time validation runs, so

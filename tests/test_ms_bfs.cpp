@@ -201,6 +201,38 @@ TEST(TileMsBfs, DirectedGraphFollowsOutEdges) {
                  "nt 64");
 }
 
+TEST(TileMsBfs, DirectedSideEdgesAcrossPools) {
+  // The row-owned expand task gathers each row's extracted in-edges; the
+  // levels must not depend on the extraction threshold or the pool.
+  Coo<value_t> coo(3000, 3000);
+  Prng rng(834);
+  for (int e = 0; e < 15000; ++e) {
+    const auto u = static_cast<index_t>(rng.next_below(3000));
+    const auto v = static_cast<index_t>(rng.next_below(3000));
+    if (u != v) coo.push(u, v, 1.0);
+  }
+  coo.sort_row_major();
+  coo.sum_duplicates();
+  const Csr<value_t> g = Csr<value_t>::from_coo(coo);
+  const Csr<value_t> gt = g.transpose();
+  const std::vector<index_t> sources{0, 7, 1500, 2999};
+  const MsBfsResult plain = ms_bfs(g, sources);
+  for (index_t extract : {2, 8}) {
+    const auto tiles = BitTileGraph<32>::from_csr(gt, extract);
+    ASSERT_GT(tiles.side_edge_count(), 0) << "extract " << extract;
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      const MsBfsResult r = tile_ms_bfs(tiles, sources, &pool);
+      EXPECT_EQ(r.rounds, plain.rounds);
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        EXPECT_EQ(r.levels[s], plain.levels[s])
+            << "extract " << extract << " threads " << threads << " slot "
+            << s;
+      }
+    }
+  }
+}
+
 TEST(MsBfs, SharedEdgeScansOnRmat) {
   RmatParams p;
   p.scale = 11;

@@ -7,6 +7,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -242,6 +246,84 @@ TEST(TileFile, GraphRoundTripAndBfsLevels) {
   const BfsResult r1 = mem.run(0);
   const BfsResult r2 = mapped.run(0);
   EXPECT_EQ(r1.levels, r2.levels);
+}
+
+/// A directed graph whose sparse tiles leave edges in both side indexes.
+BitTileGraph<32> directed_side_graph() {
+  const auto a = Csr<value_t>::from_coo(gen_erdos_renyi(300, 300, 0.01, 6));
+  auto g = BitTileGraph<32>::from_csr(a, 2);
+  EXPECT_FALSE(g.shared_masks);
+  EXPECT_GT(g.side_edge_count(), 0);
+  return g;
+}
+
+TEST(TileFile, GraphSideIndexesRoundTrip) {
+  const FileGuard f{tmp_path("graph_side")};
+  const auto a = Csr<value_t>::from_coo(gen_erdos_renyi(300, 300, 0.01, 6));
+  const auto g = directed_side_graph();
+  write_bit_tile_graph_file<32>(f.path, g);
+  const auto gm = map_bit_tile_graph_file<32>(f.path, /*verify_hash=*/true,
+                                              /*deep_validate=*/true);
+  EXPECT_TRUE(gm.side_ptr == g.side_ptr);
+  EXPECT_TRUE(gm.side_dst == g.side_dst);
+  EXPECT_TRUE(gm.side_in_ptr == g.side_in_ptr);
+  EXPECT_TRUE(gm.side_src == g.side_src);
+  EXPECT_TRUE(gm.csr_chunk_ptr == g.csr_chunk_ptr);
+
+  // Every kernel reads a side index: the mapped engine must match the
+  // in-memory one with each kernel forced.
+  for (unsigned mask : {1u, 2u, 4u}) {
+    TileBfsConfig bcfg;
+    bcfg.forced_tile_size = 32;
+    bcfg.kernel_mask = mask;
+    const TileBfs mem(a, bcfg);
+    const TileBfs mapped(f.path, bcfg);
+    EXPECT_EQ(mem.run(3).levels, mapped.run(3).levels) << "mask=" << mask;
+  }
+}
+
+TEST(TileFile, GraphWithoutDestinationSideIndexFailsToMap) {
+  // A graph file that lacks section 14 or 15 (as written before the
+  // destination-indexed side list existed) must not map; the error names
+  // the missing section. Relabelling a section-table entry drops the
+  // section without touching any payload.
+  const FileGuard f{tmp_path("graph_no_side_in")};
+  write_bit_tile_graph_file<32>(f.path, directed_side_graph());
+  std::string base;
+  {
+    std::ifstream in(f.path, std::ios::binary);
+    base.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  TileFileHeader h;
+  std::memcpy(&h, base.data(), sizeof(h));
+  for (const std::uint32_t id :
+       {tf_section::kSideInPtr, tf_section::kSideSrc}) {
+    std::string s = base;
+    bool found = false;
+    for (std::uint32_t i = 0; i < h.section_count; ++i) {
+      const std::size_t at = sizeof(TileFileHeader) + i * sizeof(TileFileSection);
+      std::uint32_t sid = 0;
+      std::memcpy(&sid, &s[at], sizeof(sid));
+      if (sid != id) continue;
+      const std::uint32_t unused = 0xBEEF;
+      std::memcpy(&s[at], &unused, sizeof(unused));
+      found = true;
+    }
+    ASSERT_TRUE(found) << "section " << id;
+    {
+      std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
+      out.write(s.data(), static_cast<std::streamsize>(s.size()));
+    }
+    try {
+      map_bit_tile_graph_file<32>(f.path);
+      ADD_FAILURE() << "mapped a graph file without section " << id;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("missing section " +
+                                           std::to_string(id)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TileFile, WrongKindAndMissingFileThrow) {

@@ -427,6 +427,20 @@ TEST(ValidateBitTileGraph, CatchesEdgeCountAndSideViolations) {
   bads = gs;
   bads.side_ptr[bads.n / 2] = bads.side_ptr.back() + 1;
   EXPECT_FALSE(validate_bit_tile_graph(bads).ok());
+
+  // The destination index: its own bounds, then agreement with the source
+  // index (an in-range edge that the out-edge list does not hold).
+  bads = gs;
+  bads.side_src[0] = bads.n;
+  expect_issue(validate_bit_tile_graph(bads), "side_src/range");
+
+  bads = gs;
+  bads.side_src[0] = (bads.side_src[0] + 1) % bads.n;
+  expect_issue(validate_bit_tile_graph(bads), "side_src/agreement");
+
+  bads = gs;
+  bads.side_in_ptr[bads.n / 2] = bads.side_in_ptr.back() + 1;
+  EXPECT_FALSE(validate_bit_tile_graph(bads).ok());
 }
 
 TEST(RequireValid, ThrowsRuntimeErrorWithInvariant) {
